@@ -40,14 +40,11 @@ from .core import (
     LSHParams,
     MBIConfig,
     MultiLevelBlockIndex,
-    QueryExecutor,
     QueryResult,
     QueryStats,
     SearchParams,
     TauTuner,
     TieringConfig,
-    get_default_executor,
-    shutdown_default_executor,
 )
 from .core.persistence import load_index, save_index
 from .distances import Metric, available_metrics, resolve_metric
@@ -125,7 +122,6 @@ __all__ = [
     "MultiLevelBlockIndex",
     "NNDescentParams",
     "PersistenceError",
-    "QueryExecutor",
     "QueryResult",
     "QueryStats",
     "QueryTrace",
@@ -158,14 +154,12 @@ __all__ = [
     "available_metrics",
     "configure_telemetry",
     "failpoint",
-    "get_default_executor",
     "get_failpoints",
     "get_registry",
     "get_telemetry",
     "load_index",
     "resolve_metric",
     "save_index",
-    "shutdown_default_executor",
     "summarize_traces",
     "__version__",
 ]

@@ -20,7 +20,6 @@ from ..observability.metrics import get_registry
 from ..storage.timeline import TimeWindow
 from ..storage.vector_store import VectorStore
 from ..core.brute import brute_force_topk
-from ..core.executor import QueryExecutor
 from ..core.results import QueryResult, QueryStats
 
 _METRICS = get_registry()
@@ -125,25 +124,12 @@ class BSBFIndex:
         k: int,
         t_start: float = float("-inf"),
         t_end: float = float("inf"),
-        executor: QueryExecutor | None = None,
     ) -> list[QueryResult]:
-        """Answer many TkNN queries sharing one time window, exactly.
-
-        BSBF is deterministic (no randomness anywhere), so fanning the
-        per-query scans out across ``executor`` trivially preserves
-        bit-identical results; it exists so QPS comparisons against MBI's
-        parallel path stay apples-to-apples.
-        """
+        """Answer many TkNN queries sharing one time window, exactly."""
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise InvalidQueryError(
                 f"queries must be a (m, {self.dim}) matrix, "
                 f"got shape {queries.shape}"
             )
-
-        def run(i: int) -> QueryResult:
-            return self.search(queries[i], k, t_start, t_end)
-
-        if executor is None:
-            return [run(i) for i in range(len(queries))]
-        return executor.map(run, range(len(queries)))
+        return [self.search(query, k, t_start, t_end) for query in queries]

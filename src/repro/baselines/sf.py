@@ -29,7 +29,6 @@ from ..observability.metrics import get_registry
 from ..storage.timeline import TimeWindow
 from ..storage.vector_store import VectorStore
 from ..core.config import SearchParams
-from ..core.executor import QueryExecutor
 from ..core.results import QueryResult, QueryStats
 
 _METRICS = get_registry()
@@ -245,18 +244,12 @@ class SFIndex:
         t_end: float = float("inf"),
         params: SearchParams | None = None,
         rng: np.random.Generator | None = None,
-        executor: QueryExecutor | None = None,
     ) -> list[QueryResult]:
-        """Answer many TkNN queries sharing one time window.
+        """Answer many TkNN queries sharing one time window, in input order.
 
-        SF has a single global graph, so the unit of parallelism is the
-        *query*: with ``executor`` given, queries fan out across its
-        workers (this mirrors MBI's per-block fan-out, keeping relative
-        benchmark comparisons fair).  Each query's entry-sampling
-        generator is derived from ``rng`` before dispatch, so results are
-        in input order and bit-identical for any pool size — the same
-        determinism guarantee as
-        :meth:`repro.core.MultiLevelBlockIndex.search`.
+        Each query's entry-sampling generator is seeded from ``rng`` up
+        front, the same per-query seeding as
+        :meth:`repro.core.MultiLevelBlockIndex.search_batch`.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
@@ -267,20 +260,17 @@ class SFIndex:
         if rng is None:
             rng = self._rng
         seeds = rng.integers(0, 2**63 - 1, size=len(queries))
-
-        def run(i: int) -> QueryResult:
-            return self.search(
-                queries[i],
+        return [
+            self.search(
+                query,
                 k,
                 t_start,
                 t_end,
                 params=params,
-                rng=np.random.default_rng(int(seeds[i])),
+                rng=np.random.default_rng(int(seed)),
             )
-
-        if executor is None:
-            return [run(i) for i in range(len(queries))]
-        return executor.map(run, range(len(queries)))
+            for query, seed in zip(queries, seeds)
+        ]
 
     def _pick_entries(
         self,

@@ -29,11 +29,11 @@ through four configurations and every pair is checked against the
 strongest invariant it promises (the methodology of Engels et al.,
 "ANN Search with Window Filters", arXiv 2402.00943):
 
-* MBI-parallel vs MBI-sequential — **bit-identical** (the PR 3 guarantee);
 * MBI-exact (brute-force threshold ∞) vs the exact oracle — same answer
   set up to distance ties;
-* beam engine (``beam_width`` wide) and legacy-greedy-order engine
-  (``beam_width=1``) vs the oracle — well-formed (sorted, deduplicated,
+* beam engine (``beam_width`` wide), legacy-greedy-order engine
+  (``beam_width=1``) and the tiered ADC-first cold-tier index vs the
+  oracle — well-formed (sorted, deduplicated,
   in-window, correct distances), never better than the oracle at any
   rank, and aggregate recall above a floor;
 * ``k1 < k2`` on the exact configuration — prefix-consistent;
@@ -56,7 +56,6 @@ import numpy as np
 
 from .baselines.exact import exact_tknn
 from .core.config import MBIConfig, SearchParams
-from .core.executor import QueryExecutor
 from .core.mbi import MultiLevelBlockIndex
 from .core.results import QueryResult
 from .distances.metrics import resolve_metric
@@ -592,7 +591,6 @@ def run_differential_scenario(
 
     store = VectorStore(dim)
     index_seq = MultiLevelBlockIndex(dim, "euclidean", base)
-    index_par = MultiLevelBlockIndex(dim, "euclidean", base)
     # A tiered twin with compressed cold-tier search on: a pathological
     # budget demotes every built block immediately (each demotion writes
     # a code sidecar) and a zero ADC threshold answers every cold span
@@ -607,7 +605,6 @@ def run_differential_scenario(
     index_adc = MultiLevelBlockIndex(dim, "euclidean", adc_config)
     index_adc.enable_tiering(memory_budget_mb=0.001)
     pending: list[list] = []  # deferred chains, one sub-list per index
-    pool = QueryExecutor(3, name="repro-chaos-diff")
 
     inserts = 0
     queries_checked = 0
@@ -621,168 +618,148 @@ def run_differential_scenario(
             f"(reproduce with: repro chaos --diff-seed {seed})"
         )
 
-    try:
-        for step in range(steps):
-            op = rng.random()
-            if op < 0.45 or len(store) < leaf:
-                batch = int(rng.integers(1, 5))
-                for _ in range(batch):
-                    vector = rng.standard_normal(dim).astype(np.float32)
-                    # Occasional duplicate timestamps exercise half-open
-                    # boundary handling with ties.
-                    if rng.random() < 0.15 and len(store):
-                        ts = float(store.latest_timestamp)
-                    else:
-                        next_ts += float(rng.uniform(0.5, 2.0))
-                        ts = next_ts
-                    store.append(vector, ts)
-                    _, chain_a = index_seq.insert_deferred(vector, ts)
-                    _, chain_b = index_par.insert_deferred(vector, ts)
-                    _, chain_c = index_adc.insert_deferred(vector, ts)
-                    if chain_a or chain_b or chain_c:
-                        pending.append([chain_a, chain_b, chain_c])
-                    inserts += 1
-                # Build deferred chains at seeded points only, so queries
-                # regularly observe mixed built/unbuilt trees — but
-                # identically mixed across the compared indexes.
-                if pending and rng.random() < 0.5:
-                    chain_a, chain_b, chain_c = pending.pop(0)
-                    index_seq.build_blocks(chain_a)
-                    index_par.build_blocks(chain_b)
-                    index_adc.build_blocks(chain_c)
-                continue
+    for step in range(steps):
+        op = rng.random()
+        if op < 0.45 or len(store) < leaf:
+            batch = int(rng.integers(1, 5))
+            for _ in range(batch):
+                vector = rng.standard_normal(dim).astype(np.float32)
+                # Occasional duplicate timestamps exercise half-open
+                # boundary handling with ties.
+                if rng.random() < 0.15 and len(store):
+                    ts = float(store.latest_timestamp)
+                else:
+                    next_ts += float(rng.uniform(0.5, 2.0))
+                    ts = next_ts
+                store.append(vector, ts)
+                _, chain_a = index_seq.insert_deferred(vector, ts)
+                _, chain_c = index_adc.insert_deferred(vector, ts)
+                if chain_a or chain_c:
+                    pending.append([chain_a, chain_c])
+                inserts += 1
+            # Build deferred chains at seeded points only, so queries
+            # regularly observe mixed built/unbuilt trees — but
+            # identically mixed across the compared indexes.
+            if pending and rng.random() < 0.5:
+                chain_a, chain_c = pending.pop(0)
+                index_seq.build_blocks(chain_a)
+                index_adc.build_blocks(chain_c)
+            continue
 
-            # ---- query step -------------------------------------------
-            t_lo = float(store.timestamps[0])
-            t_hi = float(store.latest_timestamp)
-            flavor = rng.random()
-            if flavor < 0.15:
-                window = (-math.inf, math.inf)
-            elif flavor < 0.30:
-                window = (float(rng.uniform(t_lo, t_hi)), math.inf)
-            elif flavor < 0.40:
-                pivot = float(rng.uniform(t_lo, t_hi))
-                window = (pivot, pivot)  # empty half-open window
-            else:
-                a, b = sorted(rng.uniform(t_lo - 1, t_hi + 1, size=2))
-                window = (float(a), float(b))
-            k = int(rng.integers(1, 9))
-            query = rng.standard_normal(dim)
-            qseed = int(rng.integers(0, 2**31))
+        # ---- query step -------------------------------------------
+        t_lo = float(store.timestamps[0])
+        t_hi = float(store.latest_timestamp)
+        flavor = rng.random()
+        if flavor < 0.15:
+            window = (-math.inf, math.inf)
+        elif flavor < 0.30:
+            window = (float(rng.uniform(t_lo, t_hi)), math.inf)
+        elif flavor < 0.40:
+            pivot = float(rng.uniform(t_lo, t_hi))
+            window = (pivot, pivot)  # empty half-open window
+        else:
+            a, b = sorted(rng.uniform(t_lo - 1, t_hi + 1, size=2))
+            window = (float(a), float(b))
+        k = int(rng.integers(1, 9))
+        query = rng.standard_normal(dim)
+        qseed = int(rng.integers(0, 2**31))
 
-            oracle = exact_tknn(store, metric, query, k, *window)
-            res_seq = index_seq.search(
-                query, k, *window, rng=np.random.default_rng(qseed)
+        oracle = exact_tknn(store, metric, query, k, *window)
+        res_seq = index_seq.search(
+            query, k, *window, rng=np.random.default_rng(qseed)
+        )
+        res_exact = index_seq.search(
+            query,
+            k,
+            *window,
+            params=exact_params,
+            rng=np.random.default_rng(qseed),
+        )
+        if not _equivalent_up_to_ties(res_exact, oracle):
+            _fail(
+                f"step {step}: exact-config MBI disagrees with the "
+                "exact oracle beyond distance ties"
             )
-            res_par = index_par.search(
+        hits["beam"] += _assert_well_formed(
+            res_seq, oracle, store, query, window, seed,
+            f"step {step} beam",
+        )
+        total["beam"] += len(oracle.positions)
+        res_greedy = index_seq.search(
+            query,
+            k,
+            *window,
+            params=greedy_params,
+            rng=np.random.default_rng(qseed),
+        )
+        hits["greedy"] += _assert_well_formed(
+            res_greedy, oracle, store, query, window, seed,
+            f"step {step} greedy",
+        )
+        total["greedy"] += len(oracle.positions)
+        # Compressed cold-tier search: every cold block answers from
+        # its code sidecar (ADC scan + exact rerank) — the answer
+        # must be structurally sound and keep recall with the rest.
+        res_adc = index_adc.search(
+            query, k, *window, rng=np.random.default_rng(qseed)
+        )
+        hits["adc"] += _assert_well_formed(
+            res_adc, oracle, store, query, window, seed,
+            f"step {step} adc",
+        )
+        total["adc"] += len(oracle.positions)
+
+        # k-prefix consistency on the exact configuration.
+        if k > 1:
+            smaller = index_seq.search(
                 query,
-                k,
-                *window,
-                rng=np.random.default_rng(qseed),
-                executor=pool,
-            )
-            if not (
-                np.array_equal(res_seq.positions, res_par.positions)
-                and np.array_equal(res_seq.distances, res_par.distances)
-            ):
-                _fail(
-                    f"step {step}: parallel result diverges from "
-                    "sequential (bit-identity broken)"
-                )
-            res_exact = index_seq.search(
-                query,
-                k,
+                k - 1,
                 *window,
                 params=exact_params,
                 rng=np.random.default_rng(qseed),
             )
-            if not _equivalent_up_to_ties(res_exact, oracle):
+            if not np.array_equal(
+                smaller.positions, res_exact.positions[: len(smaller)]
+            ):
                 _fail(
-                    f"step {step}: exact-config MBI disagrees with the "
-                    "exact oracle beyond distance ties"
+                    f"step {step}: exact top-{k - 1} is not a prefix "
+                    f"of exact top-{k}"
                 )
-            hits["beam"] += _assert_well_formed(
-                res_seq, oracle, store, query, window, seed,
-                f"step {step} beam",
+        # Window-shrink metamorphic relation on the exact config.
+        if (
+            len(res_exact) == k
+            and window[1] - window[0] > 0
+            and math.isfinite(window[0])
+            and math.isfinite(window[1])
+        ):
+            shrink = (
+                window[0] + (window[1] - window[0]) * 0.25,
+                window[1] - (window[1] - window[0]) * 0.25,
             )
-            total["beam"] += len(oracle.positions)
-            res_greedy = index_seq.search(
-                query,
-                k,
-                *window,
-                params=greedy_params,
-                rng=np.random.default_rng(qseed),
-            )
-            hits["greedy"] += _assert_well_formed(
-                res_greedy, oracle, store, query, window, seed,
-                f"step {step} greedy",
-            )
-            total["greedy"] += len(oracle.positions)
-            # Compressed cold-tier search: every cold block answers from
-            # its code sidecar (ADC scan + exact rerank) — the answer
-            # must be structurally sound and keep recall with the rest.
-            res_adc = index_adc.search(
-                query, k, *window, rng=np.random.default_rng(qseed)
-            )
-            hits["adc"] += _assert_well_formed(
-                res_adc, oracle, store, query, window, seed,
-                f"step {step} adc",
-            )
-            total["adc"] += len(oracle.positions)
-
-            # k-prefix consistency on the exact configuration.
-            if k > 1:
-                smaller = index_seq.search(
+            if shrink[0] < shrink[1]:
+                inner = index_seq.search(
                     query,
-                    k - 1,
-                    *window,
+                    k,
+                    *shrink,
                     params=exact_params,
                     rng=np.random.default_rng(qseed),
                 )
-                if not np.array_equal(
-                    smaller.positions, res_exact.positions[: len(smaller)]
-                ):
+                survivors = {
+                    int(p)
+                    for p, t in zip(
+                        res_exact.positions,
+                        store.timestamps[
+                            np.asarray(res_exact.positions, dtype=int)
+                        ],
+                    )
+                    if shrink[0] <= float(t) < shrink[1]
+                }
+                if not survivors <= set(map(int, inner.positions)):
                     _fail(
-                        f"step {step}: exact top-{k - 1} is not a prefix "
-                        f"of exact top-{k}"
+                        f"step {step}: shrinking the window dropped a "
+                        "neighbor that stayed in range"
                     )
-            # Window-shrink metamorphic relation on the exact config.
-            if (
-                len(res_exact) == k
-                and window[1] - window[0] > 0
-                and math.isfinite(window[0])
-                and math.isfinite(window[1])
-            ):
-                shrink = (
-                    window[0] + (window[1] - window[0]) * 0.25,
-                    window[1] - (window[1] - window[0]) * 0.25,
-                )
-                if shrink[0] < shrink[1]:
-                    inner = index_seq.search(
-                        query,
-                        k,
-                        *shrink,
-                        params=exact_params,
-                        rng=np.random.default_rng(qseed),
-                    )
-                    survivors = {
-                        int(p)
-                        for p, t in zip(
-                            res_exact.positions,
-                            store.timestamps[
-                                np.asarray(res_exact.positions, dtype=int)
-                            ],
-                        )
-                        if shrink[0] <= float(t) < shrink[1]
-                    }
-                    if not survivors <= set(map(int, inner.positions)):
-                        _fail(
-                            f"step {step}: shrinking the window dropped a "
-                            "neighbor that stayed in range"
-                        )
-            queries_checked += 1
-    finally:
-        pool.shutdown(wait=True)
+        queries_checked += 1
 
     recalls = {}
     for engine in ("beam", "greedy", "adc"):

@@ -14,8 +14,6 @@ Subcommands::
     repro tier stats --data-dir DIR        inspect the cold block tier
     repro tier stats --url URL             scrape a live server's metrics
     repro slow --url URL                   render a server's slow-query log
-    repro bench [--smoke]                  run the perf harness -> BENCH_<date>.json
-    repro bench --paper                    how to regenerate the paper's tables
     repro chaos                            seeded fault-injection smoke sweep
 
 Every command is also reachable via ``python -m repro.cli``.
@@ -200,14 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request deadline in seconds",
     )
     serve.add_argument(
-        "--search-workers",
-        type=int,
-        default=None,
-        help="size of the service's private query executor (per-block "
-        "fan-out and batched kernels; default: no pool, sequential — "
-        "see docs/performance.md)",
-    )
-    serve.add_argument(
         "--shards",
         type=int,
         default=0,
@@ -309,36 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slow.add_argument(
         "-n", type=int, default=10, help="records to show (newest first)"
-    )
-
-    bench = commands.add_parser(
-        "bench",
-        help="run the reproducible perf harness (sequential-vs-parallel "
-        "and QPS suites) and write a schema-versioned BENCH_<date>.json",
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized workload (seconds, not minutes)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=0, help="workload seed (pinned)"
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool width for the parallel measurements (default: CPU-sized)",
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        help="output path (default: BENCH_<date>.json in the current dir)",
-    )
-    bench.add_argument(
-        "--paper",
-        action="store_true",
-        help="print how to regenerate the paper's tables/figures instead",
     )
 
     chaos = commands.add_parser(
@@ -674,8 +634,6 @@ def _service_config(args: argparse.Namespace):
         extras["max_batch"] = args.max_batch
     if getattr(args, "timeout", None) is not None:
         extras["default_timeout"] = args.timeout
-    if getattr(args, "search_workers", None) is not None:
-        extras["search_workers"] = args.search_workers
     if getattr(args, "memory_budget_mb", None) is not None:
         extras["memory_budget_mb"] = args.memory_budget_mb
     if getattr(args, "compact_interval", None) is not None:
@@ -1096,50 +1054,6 @@ def _cmd_slow(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.paper:
-        print(
-            "Run the full evaluation harness (Tables 2-4, Figures 5-9, "
-            "theory\n"
-            "validation, ablations) with:\n"
-            "\n"
-            "    pytest benchmarks/ --benchmark-only\n"
-            "\n"
-            "Individual figures: pytest benchmarks/test_fig5_*.py "
-            "--benchmark-only, etc.\n"
-            "Reports are echoed after the pytest summary and saved to\n"
-            "benchmarks/results/latest.txt."
-        )
-        return 0
-    # The harness lives in benchmarks/ (not the installed package) so the
-    # library ships no benchmark bloat; fall back with a clear message when
-    # running from an installed wheel without a repo checkout.
-    try:
-        from benchmarks import harness
-    except ImportError:
-        import os
-
-        sys.path.insert(0, os.getcwd())  # console-script entry points
-        try:
-            from benchmarks import harness
-        except ImportError:
-            print(
-                "error: the perf harness requires a repository checkout "
-                "(benchmarks/harness.py is not part of the installed "
-                "package); run from the repo root",
-                file=sys.stderr,
-            )
-            return 2
-    payload = harness.run_harness(
-        seed=args.seed, smoke=args.smoke, workers=args.workers
-    )
-    out = args.out if args.out else harness.default_output_path()
-    path = harness.write_bench(payload, out)
-    print(harness.render_bench(payload))
-    print(f"\nwrote {path}")
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
@@ -1206,7 +1120,6 @@ _COMMANDS = {
     "shard": _cmd_shard,
     "tier": _cmd_tier,
     "slow": _cmd_slow,
-    "bench": _cmd_bench,
     "chaos": _cmd_chaos,
 }
 

@@ -17,14 +17,6 @@ from .config import (
     SearchParams,
     TieringConfig,
 )
-from .executor import (
-    QueryExecutor,
-    default_worker_count,
-    get_default_executor,
-    resolve_executor,
-    set_default_executor,
-    shutdown_default_executor,
-)
 from .mbi import MultiLevelBlockIndex
 from .results import QueryResult, QueryStats, merge_partial_results
 from .selection import select_blocks
@@ -41,7 +33,6 @@ __all__ = [
     "LSHParams",
     "MBIConfig",
     "MultiLevelBlockIndex",
-    "QueryExecutor",
     "QueryResult",
     "QueryStats",
     "SearchParams",
@@ -51,13 +42,8 @@ __all__ = [
     "TieringConfig",
     "available_backends",
     "brute_force_topk",
-    "default_worker_count",
-    "get_default_executor",
     "merge_partial_results",
     "prune_shards",
     "register_backend",
-    "resolve_executor",
     "select_blocks",
-    "set_default_executor",
-    "shutdown_default_executor",
 ]

@@ -257,8 +257,7 @@ class TieringConfig:
             temporary directory (removed when the index is collected);
             :class:`repro.service.IndexService` passes ``data_dir/tiers``.
         prefetch_selected: Promote the blocks a query's selection walk
-            picked *before* the per-block searches run, so a parallel
-            fan-out never stalls two workers on the same cold block.
+            picked *before* the per-block searches run.
     """
 
     enabled: bool = False
@@ -314,21 +313,6 @@ class MBIConfig:
             "Parallelization of MBI").
         max_workers: Thread-pool size when ``parallel``; ``None`` lets the
             executor decide.
-        query_parallel: Fan each query's selected blocks out across the
-            shared :class:`repro.core.executor.QueryExecutor` (and use the
-            same-block batched kernels in
-            :meth:`~repro.core.mbi.MultiLevelBlockIndex.search_batch`).
-            Results are bit-identical to sequential execution — see the
-            determinism guarantee on
-            :meth:`~repro.core.mbi.MultiLevelBlockIndex.search`.  An
-            explicit ``executor=`` argument at query time overrides this.
-        query_workers: Sizing hint for the shared query pool, honoured
-            only when this index's first parallel query creates it;
-            ``None`` sizes from the CPU count.
-        parallel_min_blocks: Only fan out when the selection picked at
-            least this many blocks; below it the query runs sequentially
-            on the calling thread (dispatch overhead beats the win for
-            tiny search sets — see ``docs/performance.md``).
         tiering: Two-tier block lifecycle knobs (see :class:`TieringConfig`
             and ``docs/tiering.md``).  Disabled by default; answers are
             bit-identical with tiering on or off, for any budget.
@@ -356,9 +340,6 @@ class MBIConfig:
     search: SearchParams = field(default_factory=SearchParams)
     parallel: bool = False
     max_workers: int | None = None
-    query_parallel: bool = False
-    query_workers: int | None = None
-    parallel_min_blocks: int = 2
     tiering: TieringConfig = field(default_factory=TieringConfig)
     cold_codes: bool = False
     seed: int = 0
@@ -381,15 +362,6 @@ class MBIConfig:
             raise ConfigurationError(
                 f"max_workers must be >= 1 or None, got {self.max_workers}"
             )
-        if self.query_workers is not None and self.query_workers < 1:
-            raise ConfigurationError(
-                f"query_workers must be >= 1 or None, got {self.query_workers}"
-            )
-        if self.parallel_min_blocks < 1:
-            raise ConfigurationError(
-                f"parallel_min_blocks must be >= 1, "
-                f"got {self.parallel_min_blocks}"
-            )
 
     def with_tau(self, tau: float) -> "MBIConfig":
         """Copy with a different ``tau`` (used by the Figure 9 sweep)."""
@@ -406,9 +378,6 @@ class MBIConfig:
             search=self.search,
             parallel=self.parallel,
             max_workers=self.max_workers,
-            query_parallel=self.query_parallel,
-            query_workers=self.query_workers,
-            parallel_min_blocks=self.parallel_min_blocks,
             tiering=self.tiering,
             cold_codes=self.cold_codes,
             seed=self.seed,

@@ -35,14 +35,15 @@ from ..graph.knn_graph import NO_NEIGHBOR
 from ..graph.knn_graph import KnnGraph
 from ..observability.metrics import get_registry
 from ..observability.trace import QueryTrace
-from ..quantization.adc import adc_scan, adc_scan_batch
+from ..quantization.adc import adc_scan
+# Unused here; benchmarks/layered/spans.py looks this name up on the module.
+from ..quantization.adc import adc_scan_batch  # noqa: F401
 from ..storage.timeline import TimeWindow
 from ..storage.vector_store import VectorStore
 from .backends import GraphBackend, get_builder
 from .block import Block
 from .brute import brute_force_topk
 from .config import MBIConfig, SearchParams, TieringConfig
-from .executor import QueryExecutor, resolve_executor
 from .results import QueryResult, QueryStats, merge_partial_results
 from .selection import select_blocks
 from .tree import leaf_block_index, leaf_range_of
@@ -63,14 +64,6 @@ _SEARCH_DIST_EVALS = _METRICS.counter(
 )
 _SEARCH_SECONDS = _METRICS.histogram(
     "mbi_search_seconds", "Per-query MBI search latency"
-)
-_SEARCH_PARALLEL = _METRICS.counter(
-    "mbi_search_parallel_total",
-    "MBI queries whose per-block searches fanned out across an executor",
-)
-_BATCHED_CALLS = _METRICS.counter(
-    "mbi_search_batched_total",
-    "search_batch calls answered block-by-block with batched kernels",
 )
 _BUILD_BLOCKS = _METRICS.counter(
     "mbi_build_blocks_total", "Block indexes built (seal + merge chain)"
@@ -118,8 +111,8 @@ class MultiLevelBlockIndex:
         self._metric = resolve_metric(metric)
         self._config = config if config is not None else MBIConfig()
         self._store = VectorStore(dim)
-        # Fused-scan norm cache for every brute-force path (open leaf,
-        # short-window slices, the batched block scan).  The store is
+        # Fused-scan norm cache for every brute-force path (open leaf and
+        # short-window slices).  The store is
         # append-only, so rows are cached once and never invalidated;
         # built blocks own their *own* snapshot caches (see GraphBackend).
         self._scan = StoreNormCache(self._store, self._metric)
@@ -500,25 +493,19 @@ class MultiLevelBlockIndex:
         rng: np.random.Generator | None = None,
         tau: float | None = None,
         trace: QueryTrace | None = None,
-        executor: QueryExecutor | None = None,
     ) -> QueryResult:
         """Answer a TkNN query ``(query, k, t_start, t_end)`` (Algorithm 4).
 
         The query resolves its time window to a store position range, walks
         the block tree top-down to pick a time-disjoint search block set
         (the τ rule — see :func:`repro.core.selection.select_blocks`),
-        answers each selected block independently (graph search on built
-        blocks, an exact scan on the open leaf or tiny window slices), and
-        merges the per-block partial results into the final top-``k``.
+        answers each selected block in turn (graph search on built blocks,
+        an exact scan on the open leaf or tiny window slices), and merges
+        the per-block partial results into the final top-``k``.
 
-        **Determinism guarantee.**  The selected blocks are searched either
-        sequentially on the calling thread or fanned out across a
-        :class:`~repro.core.executor.QueryExecutor` — and the result is
-        **bit-identical** either way, for any pool size, because all
-        per-block randomness is derived from ``rng`` *before* dispatch and
-        the merge is a stable sort on ``(distance, position)``.  Scheduling
-        can never feed back into the computation.  The property tests in
-        ``tests/test_parallel_search.py`` pin this down.
+        One seed per selected block is drawn from ``rng`` before any block
+        runs, and the merge is a stable sort on ``(distance, position)``, so
+        a fixed ``rng`` state always yields the same answer.
 
         Args:
             query: Query vector ``w``.
@@ -536,11 +523,6 @@ class MultiLevelBlockIndex:
                 with the selection walk, per-block decisions, and timings.
                 The default ``None`` records nothing and allocates no trace
                 objects (see :meth:`explain` for the convenient form).
-            executor: Fan the selected blocks out across this executor.
-                ``None`` falls back to the shared default pool when
-                ``MBIConfig.query_parallel`` is set, else runs
-                sequentially.  Fan-out only happens when at least
-                ``MBIConfig.parallel_min_blocks`` blocks were selected.
 
         Returns:
             The approximate TkNN result, at most ``k`` entries.
@@ -586,49 +568,24 @@ class MultiLevelBlockIndex:
         )
         if self._tiering is not None:
             # Pin the window's blocks against eviction and (optionally)
-            # promote cold ones up front so fan-out never stalls.
+            # promote cold ones up front.
             self._tiering.note_selection(selected)
-        # Per-block randomness is derived *before* dispatch, so scheduling
-        # never feeds back into the computation: sequential and parallel
-        # execution consume identical seeds and return bit-identical
-        # results (the determinism guarantee documented above).
         block_seeds = rng.integers(0, 2**63 - 1, size=len(selected))
-        pool = resolve_executor(
-            executor, self._config.query_parallel, self._config.query_workers
-        )
-        fan_out = (
-            pool is not None
-            and len(selected) >= self._config.parallel_min_blocks
-        )
-        record = trace is not None
-
-        def run_block(
-            j: int,
-        ) -> tuple[tuple[np.ndarray, np.ndarray], QueryStats, dict | None]:
-            return self._search_block(
-                selected[j],
+        partials: list[tuple[np.ndarray, np.ndarray]] = []
+        stats = QueryStats(window_size=positions.stop - positions.start)
+        for block, seed in zip(selected, block_seeds):
+            found, block_stats = self._search_block(
+                block,
                 query,
                 k,
                 positions,
                 params,
-                np.random.default_rng(int(block_seeds[j])),
-                record=record,
+                np.random.default_rng(int(seed)),
+                trace=trace,
                 t0=started,
             )
-
-        if fan_out:
-            outcomes = pool.map(run_block, range(len(selected)))
-            _SEARCH_PARALLEL.inc()
-        else:
-            outcomes = [run_block(j) for j in range(len(selected))]
-
-        partials: list[tuple[np.ndarray, np.ndarray]] = []
-        stats = QueryStats(window_size=positions.stop - positions.start)
-        for block_result, block_stats, event in outcomes:
-            partials.append(block_result)
+            partials.append(found)
             stats = stats.merged_with(block_stats)
-            if event is not None:
-                trace.record_block(**event)
         merged_positions, merged_dists = merge_partial_results(partials, k)
 
         _SEARCH_QUERIES.inc()
@@ -636,7 +593,6 @@ class MultiLevelBlockIndex:
         _SEARCH_DIST_EVALS.inc(stats.distance_evaluations)
         _SEARCH_SECONDS.observe(time.perf_counter() - started)
         if trace is not None:
-            trace.parallel = fan_out
             trace.stats = stats
             trace.result_positions = tuple(int(p) for p in merged_positions)
             trace.result_distances = tuple(float(d) for d in merged_dists)
@@ -657,23 +613,18 @@ class MultiLevelBlockIndex:
         params: SearchParams | None = None,
         rng: np.random.Generator | None = None,
         tau: float | None = None,
-        executor: QueryExecutor | None = None,
     ) -> QueryTrace:
         """Run one traced TkNN query and return its EXPLAIN trace.
 
         Identical to :meth:`search` (same arguments, same randomness
         consumption) except that every decision is recorded into the
         returned :class:`repro.observability.QueryTrace`.  Render it with
-        :meth:`QueryTrace.render` or the ``repro explain`` CLI.  Under
-        parallel fan-out the trace carries ``parallel=True`` and per-block
-        timing spans (``started``/``seconds``) that overlap; its
-        :meth:`~repro.observability.QueryTrace.signature` is equal to the
-        sequential run's.
+        :meth:`QueryTrace.render` or the ``repro explain`` CLI.
         """
         trace = QueryTrace()
         self.search(
             query, k, t_start, t_end, params=params, rng=rng, tau=tau,
-            trace=trace, executor=executor,
+            trace=trace,
         )
         return trace
 
@@ -685,41 +636,14 @@ class MultiLevelBlockIndex:
         t_end: float = float("inf"),
         params: SearchParams | None = None,
         rng: np.random.Generator | None = None,
-        max_workers: int | None = None,
         trace_sink: list[QueryTrace] | None = None,
-        executor: QueryExecutor | None = None,
     ) -> list[QueryResult]:
-        """Answer many TkNN queries sharing one time window.
+        """Answer many TkNN queries sharing one time window, in input order.
 
-        Execution strategy, in precedence order:
-
-        1. ``executor=`` given (or ``MBIConfig.query_parallel`` set and no
-           legacy ``max_workers``): the batch is answered **block-by-block**
-           — the window's block selection runs once (it depends only on the
-           window, not the queries), each selected block becomes one task
-           on the executor, and within a brute-force block *all* queries
-           are served by a single cross-distance kernel invocation.  This
-           is the fast path a serving layer should use (see
-           :class:`repro.service.IndexService`).
-        2. ``max_workers=`` given: the legacy per-query thread pool —
-           each query runs a full sequential :meth:`search` on a worker.
-        3. Neither: queries run sequentially on the calling thread.
-
-        Results are returned in input order under every strategy, and each
-        query's randomness is an independent generator derived from ``rng``
-        *before* any dispatch, so for a fixed strategy the outcome is
-        bit-identical across pool sizes and scheduling (tested in
-        ``tests/test_parallel_search.py``).  The batched path's brute-force
-        distances come from the many-to-many kernel rather than the
-        one-to-many kernel, which may differ from the per-query path in the
-        last float ulp (identical ranking in practice); graph-searched
-        blocks match the per-query path bit for bit because the per-block
-        seed derivation is identical.
-
-        When ``trace_sink`` is given, per-query traces are required, so the
-        batched path degrades gracefully to strategy 2/3 semantics: each
-        query runs :meth:`search` with its blocks fanned out on the
-        executor.
+        One seed per query is drawn from ``rng`` up front, and query ``i``
+        runs :meth:`search` with ``np.random.default_rng(seeds[i])``, so
+        ``search_batch(Q, rng=r)[i]`` equals that :meth:`search` call bit
+        for bit — positions, distances and stats.
 
         Args:
             queries: ``(m, dim)`` matrix of query vectors.
@@ -728,13 +652,10 @@ class MultiLevelBlockIndex:
             t_end: Exclusive window end.
             params: Query-time parameters; defaults to the index config's.
             rng: Seeds the per-query generators; defaults to index state.
-            max_workers: Legacy per-query thread-pool size; ``None`` (the
-                default) defers to ``executor`` / the config.
             trace_sink: When given, one :class:`QueryTrace` per query is
                 appended to this list, in input order — aggregate them with
                 :func:`repro.observability.summarize_traces`.  ``None``
                 (the default) traces nothing.
-            executor: Block-level fan-out pool for the batched path.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
@@ -745,211 +666,23 @@ class MultiLevelBlockIndex:
         if rng is None:
             rng = self._rng
         seeds = rng.integers(0, 2**63 - 1, size=len(queries))
-        tracing = trace_sink is not None
-        if executor is not None:
-            pool: QueryExecutor | None = executor
-        elif max_workers is not None:
-            pool = None  # legacy per-query threads below
-        else:
-            pool = resolve_executor(
-                None, self._config.query_parallel, self._config.query_workers
-            )
-        if pool is not None and not tracing and len(queries) > 0:
-            return self._search_batch_blocked(
-                queries, k, float(t_start), float(t_end), params, seeds, pool
-            )
-
-        def run(i: int) -> tuple[QueryResult, QueryTrace | None]:
-            trace = QueryTrace() if tracing else None
-            result = self.search(
-                queries[i],
-                k,
-                t_start,
-                t_end,
-                params=params,
-                rng=np.random.default_rng(int(seeds[i])),
-                trace=trace,
-                # ``pool`` is only non-None here on the traced path, where
-                # run() executes on the calling thread — never pass a pool
-                # into searches running *on* that pool (nested fan-out on
-                # one bounded executor can deadlock).
-                executor=pool,
-            )
-            return result, trace
-
-        if max_workers is None or pool is not None:
-            pairs = [run(i) for i in range(len(queries))]
-        else:
-            with ThreadPoolExecutor(max_workers) as tpe:
-                pairs = list(tpe.map(run, range(len(queries))))
-        if tracing:
-            trace_sink.extend(trace for _, trace in pairs)
-        return [result for result, _ in pairs]
-
-    def _search_batch_blocked(
-        self,
-        queries: np.ndarray,
-        k: int,
-        t_start: float,
-        t_end: float,
-        params: SearchParams | None,
-        seeds: np.ndarray,
-        pool: QueryExecutor,
-    ) -> list[QueryResult]:
-        """The batched same-window path: one executor task per block.
-
-        Selection runs once (the block set depends only on the window); the
-        per-(query, block) seed matrix is derived up front exactly the way
-        :meth:`search` would derive it, so graph-block results are
-        bit-identical to the per-query path and independent of scheduling.
-        """
-        m = len(queries)
-        self._validate_query(queries[0], k)
-        window = TimeWindow(t_start, t_end)
-        positions = self._store.resolve_window(window)
-        if params is None:
-            params = self._config.search
-        started = time.perf_counter()
-        if positions.start >= positions.stop:
-            _SEARCH_QUERIES.inc(m)
-            return [QueryResult.empty(QueryStats()) for _ in range(m)]
-        selected = self._select_blocks_cached(
-            window, self._config.tau, positions, trace=None
-        )
-        if self._tiering is not None:
-            self._tiering.note_selection(selected)
-        # Row i is the block-seed vector query i would draw in ``search``:
-        # default_rng(seeds[i]).integers(0, 2**63 - 1, size=len(selected)).
-        if selected:
-            block_seeds = np.stack(
-                [
-                    np.random.default_rng(int(seed)).integers(
-                        0, 2**63 - 1, size=len(selected)
-                    )
-                    for seed in seeds
-                ]
-            )
-        else:  # pragma: no cover - selection is non-empty for non-empty windows
-            block_seeds = np.empty((m, 0), dtype=np.int64)
-
-        def run_block(
-            j: int,
-        ) -> list[tuple[tuple[np.ndarray, np.ndarray], QueryStats]]:
-            return self._search_block_batch(
-                selected[j], queries, k, positions, params, block_seeds[:, j]
-            )
-
-        per_block = pool.map(run_block, range(len(selected)))
-        _BATCHED_CALLS.inc()
-
-        window_size = positions.stop - positions.start
         results: list[QueryResult] = []
-        total_dists = 0
-        for i in range(m):
-            stats = QueryStats(window_size=window_size)
-            partials: list[tuple[np.ndarray, np.ndarray]] = []
-            for block_out in per_block:
-                found, block_stats = block_out[i]
-                partials.append(found)
-                stats = stats.merged_with(block_stats)
-            merged_positions, merged_dists = merge_partial_results(partials, k)
-            total_dists += stats.distance_evaluations
+        for query, seed in zip(queries, seeds):
+            trace = QueryTrace() if trace_sink is not None else None
             results.append(
-                QueryResult(
-                    positions=merged_positions,
-                    distances=merged_dists,
-                    timestamps=self._store.timestamps[merged_positions],
-                    stats=stats,
+                self.search(
+                    query,
+                    k,
+                    t_start,
+                    t_end,
+                    params=params,
+                    rng=np.random.default_rng(int(seed)),
+                    trace=trace,
                 )
             )
-        _SEARCH_QUERIES.inc(m)
-        _SEARCH_BLOCKS.inc(m * len(selected))
-        _SEARCH_DIST_EVALS.inc(total_dists)
-        # One observation for the whole batch: per-query latency is not
-        # defined when a single kernel call serves many queries.
-        _SEARCH_SECONDS.observe(time.perf_counter() - started)
+            if trace is not None:
+                trace_sink.append(trace)
         return results
-
-    def _search_block_batch(
-        self,
-        block: Block,
-        queries: np.ndarray,
-        k: int,
-        window: range,
-        params: SearchParams,
-        seeds: np.ndarray,
-    ) -> list[tuple[tuple[np.ndarray, np.ndarray], QueryStats]]:
-        """Every query of a shared-window batch against one block.
-
-        Brute-force blocks collapse into a **single** many-to-many kernel
-        invocation serving the whole batch; graph blocks run the per-query
-        searches back-to-back inside this one task (block-local data stays
-        hot in cache).  Strategy choice is the same rule as
-        :meth:`_search_block`, so a batch and its per-query equivalent
-        agree on which blocks scan vs. graph-search.
-        """
-        filled_stop = min(block.positions.stop, len(self._store))
-        local = range(
-            max(window.start, block.positions.start),
-            min(window.stop, filled_stop),
-        )
-        span = local.stop - local.start
-        backend = block.backend
-        if (
-            self._tiering is not None
-            and backend is None
-            and self._config.cold_codes
-            and span > params.cold_adc_threshold
-            and span > params.brute_force_threshold
-        ):
-            # Same eligibility rule as _search_block, so a batch and its
-            # per-query equivalent agree on which blocks answer from
-            # compressed codes.
-            view = self._tiering.resolve_compressed(block)
-            if view is not None:
-                return self._adc_topk_batch(view, queries, k, local, params)
-        if self._tiering is not None and (
-            backend is not None or span > params.brute_force_threshold
-        ):
-            # Cold block (or open leaf — resolve returns None for those):
-            # promote through the tier before the strategy decision so a
-            # demoted block graph-searches exactly like a hot one.  Hot
-            # blocks go through resolve too: it bumps the hit counter and
-            # LRU recency.  Short-window slices of a cold block skip the
-            # promotion — they brute-force against the shared store.
-            backend, _ = self._tiering.resolve(block)
-        if backend is None or span <= params.brute_force_threshold:
-            stats = QueryStats.for_brute_force(span)
-            if span <= 0:
-                empty = (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64),
-                )
-                return [(empty, stats)] * len(queries)
-            # One fused many-to-many kernel call answers the whole batch.
-            found_batch = self._scan.topk_batch(queries, k, local)
-            return [(found, stats) for found in found_batch]
-        offset = block.positions.start
-        allowed = range(local.start - offset, local.stop - offset)
-        out = []
-        for i in range(len(queries)):
-            outcome = backend.search(
-                queries[i],
-                k,
-                allowed,
-                params,
-                np.random.default_rng(int(seeds[i])),
-            )
-            out.append(
-                (
-                    ((offset + outcome.ids).astype(np.int64), outcome.dists),
-                    QueryStats.for_graph_search(
-                        nodes_visited=outcome.nodes_visited,
-                        distance_evaluations=outcome.distance_evaluations,
-                    ),
-                )
-            )
-        return out
 
     def _adc_topk(
         self,
@@ -985,50 +718,6 @@ class MultiLevelBlockIndex:
         ids = (local.start + best[top]).astype(np.int64)
         return (ids, exact[top]), shortlist_size
 
-    def _adc_topk_batch(
-        self,
-        view,
-        queries: np.ndarray,
-        k: int,
-        local: range,
-        params: SearchParams,
-    ) -> list[tuple[tuple[np.ndarray, np.ndarray], QueryStats]]:
-        """Batched :meth:`_adc_topk`: one multi-query LUT-sum over the block.
-
-        Tables are built per query but the scan is a single batched
-        flat-gather; per-query shortlists rerank independently so each
-        answer is bit-identical to its single-query equivalent.
-        """
-        lo = view.positions.start
-        span = local.stop - local.start
-        codes = view.codes[local.start - lo : local.stop - lo]
-        tables = []
-        for q in queries:
-            # Scalar normalisation, exactly as _adc_topk does it, so a
-            # batched answer is bit-identical to its per-query twin.
-            if self._metric.normalizes:
-                norm = float(np.linalg.norm(q))
-                if norm > 0:
-                    q = q / norm
-            tables.append(view.quantizer.adc_table(q))
-        tables = np.stack(tables)
-        scores = adc_scan_batch(tables, codes, view.offsets)
-        shortlist_size = min(len(codes), params.cold_rerank_factor * k)
-        window_rows = view.source.slice(local.start, local.stop)
-        out = []
-        for i in range(len(queries)):
-            best = top_k_smallest(scores[i], shortlist_size)
-            exact = self._metric.batch(queries[i], window_rows[best])
-            top = top_k_smallest(exact, k)
-            ids = (local.start + best[top]).astype(np.int64)
-            self._tiering.note_adc(shortlist_size)
-            stats = QueryStats.for_graph_search(
-                nodes_visited=0,
-                distance_evaluations=span + shortlist_size,
-            )
-            out.append(((ids, exact[top]), stats))
-        return out
-
     def _search_block(
         self,
         block: Block,
@@ -1037,21 +726,16 @@ class MultiLevelBlockIndex:
         window: range,
         params: SearchParams,
         rng: np.random.Generator,
-        record: bool = False,
+        trace: QueryTrace | None = None,
         t0: float = 0.0,
-    ) -> tuple[tuple[np.ndarray, np.ndarray], QueryStats, dict | None]:
+    ) -> tuple[tuple[np.ndarray, np.ndarray], QueryStats]:
         """TkNN inside one selected block: SF on built blocks, BSBF otherwise.
 
         Per-block stats follow the counting convention of
         :mod:`repro.core.results` via the :class:`QueryStats` constructors —
-        both strategies charge every metric-kernel evaluation they perform.
-
-        Runs on a worker thread under parallel fan-out, so it never touches
-        the trace directly: when ``record`` is set it returns the
-        ``record_block`` kwargs (with ``started`` as an offset from the
-        query start ``t0``) as its third element, and the coordinator
-        appends events in block order — trace contents stay deterministic
-        under any scheduling.
+        every strategy charges every metric-kernel evaluation it performs.
+        With a ``trace`` the block appends one event to it, its ``started``
+        an offset from the query start ``t0``.
         """
         filled_stop = min(block.positions.stop, len(self._store))
         local = range(
@@ -1059,10 +743,10 @@ class MultiLevelBlockIndex:
             min(window.stop, filled_stop),
         )
         span = local.stop - local.start
-        if record:
-            block_started = time.perf_counter()
+        block_started = time.perf_counter() if trace is not None else 0.0
         backend = block.backend
         tier = "hot"
+        found = None
         if (
             self._tiering is not None
             and backend is None
@@ -1082,98 +766,60 @@ class MultiLevelBlockIndex:
                     nodes_visited=0,
                     distance_evaluations=span + rerank_rows,
                 )
-                event = None
-                if record:
-                    event = dict(
-                        block_index=block.index,
-                        height=block.height,
-                        positions=(
-                            block.positions.start,
-                            block.positions.stop,
-                        ),
-                        window=(local.start, local.stop),
-                        built=True,
-                        strategy="adc",
-                        reason="cold-codes",
-                        nodes_visited=0,
-                        distance_evaluations=stats.distance_evaluations,
-                        seconds=time.perf_counter() - block_started,
-                        n_results=len(found[0]),
-                        started=block_started - t0,
-                        tier="cold",
-                    )
-                return found, stats, event
-        if self._tiering is not None and (
-            backend is not None or span > params.brute_force_threshold
-        ):
-            # Cold block: promote through the tier before the strategy
-            # decision.  Hot blocks go through resolve too (hit counter,
-            # LRU recency).  Short-window slices of a cold block skip the
-            # promotion — they brute-force against the shared store
-            # either way, exactly like the untiered index.
-            backend, tier = self._tiering.resolve(block)
-        if backend is None or span <= params.brute_force_threshold:
-            # Open (non-full) leaf — Algorithm 4 line 6 — or a window slice
-            # small enough that an exact scan beats the block index.
-            found = brute_force_topk(
-                self._store, self._metric, query, k, local, norms=self._scan
-            )
-            stats = QueryStats.for_brute_force(span)
-            event = None
-            if record:
+                built, strategy, reason, tier = True, "adc", "cold-codes", "cold"
+        if found is None:
+            if self._tiering is not None and (
+                backend is not None or span > params.brute_force_threshold
+            ):
+                # Cold block: promote through the tier before the strategy
+                # decision.  Hot blocks go through resolve too (hit counter,
+                # LRU recency).  Short-window slices of a cold block skip
+                # the promotion — they brute-force against the shared store
+                # either way, exactly like the untiered index.
+                backend, tier = self._tiering.resolve(block)
+            if backend is None or span <= params.brute_force_threshold:
+                # Open (non-full) leaf — Algorithm 4 line 6 — or a window
+                # slice small enough that an exact scan beats the block index.
+                found = brute_force_topk(
+                    self._store, self._metric, query, k, local, norms=self._scan
+                )
+                stats = QueryStats.for_brute_force(span)
                 built = backend is not None
-                if not built and self._tiering is not None:
+                if trace is not None and not built and self._tiering is not None:
                     # A short-window slice of a *cold* block is still a
                     # built block; label it so explain output is honest.
                     built = self._tiering.is_cold(block)
                     if built:
                         tier = "cold"
-                event = dict(
-                    block_index=block.index,
-                    height=block.height,
-                    positions=(block.positions.start, block.positions.stop),
-                    window=(local.start, local.stop),
-                    built=built,
-                    strategy="brute",
-                    reason="short-window" if built else "open-leaf",
-                    nodes_visited=0,
-                    distance_evaluations=stats.distance_evaluations,
-                    seconds=time.perf_counter() - block_started,
-                    n_results=len(found[0]),
-                    started=block_started - t0,
-                    tier=tier,
+                strategy = "brute"
+                reason = "short-window" if built else "open-leaf"
+            else:
+                offset = block.positions.start
+                allowed = range(local.start - offset, local.stop - offset)
+                outcome = backend.search(query, k, allowed, params, rng)
+                found = ((offset + outcome.ids).astype(np.int64), outcome.dists)
+                stats = QueryStats.for_graph_search(
+                    nodes_visited=outcome.nodes_visited,
+                    distance_evaluations=outcome.distance_evaluations,
                 )
-            return found, stats, event
-
-        offset = block.positions.start
-        allowed = range(local.start - offset, local.stop - offset)
-        outcome = backend.search(query, k, allowed, params, rng)
-        stats = QueryStats.for_graph_search(
-            nodes_visited=outcome.nodes_visited,
-            distance_evaluations=outcome.distance_evaluations,
-        )
-        event = None
-        if record:
-            event = dict(
+                built, strategy, reason = True, "graph", "built-block"
+        if trace is not None:
+            trace.record_block(
                 block_index=block.index,
                 height=block.height,
                 positions=(block.positions.start, block.positions.stop),
                 window=(local.start, local.stop),
-                built=True,
-                strategy="graph",
-                reason="built-block",
-                nodes_visited=outcome.nodes_visited,
+                built=built,
+                strategy=strategy,
+                reason=reason,
+                nodes_visited=stats.nodes_visited,
                 distance_evaluations=stats.distance_evaluations,
                 seconds=time.perf_counter() - block_started,
-                n_results=len(outcome.ids),
+                n_results=len(found[0]),
                 started=block_started - t0,
                 tier=tier,
             )
-        return (
-            ((offset + outcome.ids).astype(np.int64), outcome.dists),
-            stats,
-            event,
-        )
+        return found, stats
 
     def _validate_query(self, query: np.ndarray, k: int) -> None:
         if len(self._store) == 0:

@@ -202,6 +202,8 @@ def _config_to_dict(config: MBIConfig) -> dict:
 def _config_from_dict(payload: dict) -> MBIConfig:
     graph = dict(payload["graph"])
     nndescent = NNDescentParams(**graph.pop("nndescent"))
+    # Keys are picked one by one: older snapshots carry config keys
+    # (e.g. query-pool knobs) that MBIConfig no longer accepts.
     return MBIConfig(
         leaf_size=payload["leaf_size"],
         tau=payload["tau"],
@@ -215,11 +217,6 @@ def _config_from_dict(payload: dict) -> MBIConfig:
         search=SearchParams(**payload["search"]),
         parallel=payload["parallel"],
         max_workers=payload["max_workers"],
-        # Absent in snapshots written before the parallel query engine:
-        # default to sequential queries rather than failing the load.
-        query_parallel=payload.get("query_parallel", False),
-        query_workers=payload.get("query_workers"),
-        parallel_min_blocks=payload.get("parallel_min_blocks", 2),
         # Absent in pre-tiering snapshots (and ignored by pre-tiering
         # readers, which pick header keys explicitly) — no version bump.
         tiering=TieringConfig(**payload.get("tiering", {})),

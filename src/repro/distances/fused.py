@@ -1,7 +1,7 @@
 """Fused gather-distance kernels with precomputed per-row norm caches.
 
 Every hot search path in the library — beam search over a block graph, the
-brute-force window scan, the batched block-by-block path — bottoms out in
+brute-force window scan — bottoms out in
 the same computation: *distances from one query to a subset of a fixed
 dataset's rows*.  Recomputing ``|p|^2`` for those rows on every call (which
 is what ``metric.batch`` does via its ``points - query`` expansion) wastes
@@ -343,9 +343,8 @@ class StoreNormCache:
         return self._n
 
     def _sync(self) -> None:
-        # Serialised: concurrent per-block query tasks (see the executor
-        # fan-out in repro.core.mbi) may observe freshly appended rows at
-        # the same time, and the grow-then-fill sequence below is not
+        # Serialised: queries running on concurrent threads may observe
+        # freshly appended rows at the same time, and the grow-then-fill sequence below is not
         # atomic.  Uncontended acquisition costs nanoseconds per query.
         with self._lock:
             n = len(self._store)

@@ -12,8 +12,8 @@ A *failpoint* is a named hook compiled into a hot correctness path::
 
 Disarmed (the production state) a failpoint is one module-global truth
 test — no locks, no dict lookups, no allocation — so the hooks can live on
-the WAL fsync path, the lock acquire path, and the per-block query task
-without measurable overhead (``repro bench --smoke`` guards this).
+the WAL fsync path, the lock acquire path, and the query path without
+measurable overhead.
 
 Armed, a failpoint fires an :class:`Action` on a deterministic *schedule*
 of hits: skip the first ``skip`` hits, fire on the next ``times`` hits,

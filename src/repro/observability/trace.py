@@ -85,9 +85,7 @@ class BlockSearchEvent:
         n_results: Partial results the block contributed before the merge.
         started: When the block search began, as an offset in seconds from
             the start of the query.  Together with ``seconds`` this is the
-            block's *timing span*: under parallel fan-out
-            (``MBIConfig.query_parallel`` or an explicit ``executor=``)
-            spans of different blocks overlap; sequentially they abut.
+            block's *timing span*; the spans of one query's blocks abut.
         tier: Where the block's backend lived when the search hit it —
             ``"hot"`` (resident, or tiering disabled), ``"promoted"``
             (just brought back from the cold tier), or ``"cold"`` (a
@@ -169,12 +167,6 @@ class QueryTrace:
         result_distances: Final merged result distances.
         stats: The query's merged :class:`~repro.core.results.QueryStats`.
         seconds: Total wall-clock time of the traced search.
-        parallel: Whether the per-block searches fanned out across a
-            :class:`repro.core.executor.QueryExecutor` (``False`` when the
-            query ran sequentially, including when the selection was too
-            small to clear ``MBIConfig.parallel_min_blocks``).  Parallel and
-            sequential runs of the same query produce equal
-            :meth:`signature` — only the timing spans differ.
     """
 
     k: int = 0
@@ -191,7 +183,6 @@ class QueryTrace:
     result_distances: tuple[float, ...] = ()
     stats: "QueryStats | None" = None
     seconds: float = 0.0
-    parallel: bool = False
 
     # ------------------------------------------------------------ recording
 
@@ -384,8 +375,7 @@ class QueryTrace:
                 f"{e.reason:<14} -> {decision}"
             )
         lines.append("")
-        suffix = " (parallel fan-out)" if self.parallel else ""
-        lines.append(f"block searches:{suffix}")
+        lines.append("block searches:")
         if not self.blocks:
             lines.append("  (none)")
         for e in self.blocks:

@@ -312,12 +312,15 @@ def trace_to_wire(trace: QueryTrace) -> dict[str, object]:
             }
         ),
         "seconds": trace.seconds,
-        "parallel": trace.parallel,
     }
 
 
 def trace_from_wire(payload: Mapping[str, object]) -> QueryTrace:
-    """Reconstruct a :class:`QueryTrace` from :func:`trace_to_wire` output."""
+    """Reconstruct a :class:`QueryTrace` from :func:`trace_to_wire` output.
+
+    Keys the decoder does not know (such as the ``"parallel"`` flag older
+    writers sent) are ignored.
+    """
     trace = QueryTrace(
         k=int(payload.get("k", 0)),
         t_start=float(payload.get("t_start", math.nan)),
@@ -335,7 +338,6 @@ def trace_from_wire(payload: Mapping[str, object]) -> QueryTrace:
             float(d) for d in payload.get("result_distances", ())
         ),
         seconds=float(payload.get("seconds", 0.0)),
-        parallel=bool(payload.get("parallel", False)),
     )
     for e in payload.get("selection", ()):
         trace.selection.append(

@@ -6,7 +6,7 @@ rejection keeps tail latency flat while the index keeps ingesting).
 Admitted requests are drained in arrival order and *micro-batched*:
 consecutive requests sharing the same ``(k, t_start, t_end)`` are answered
 by one :meth:`~repro.core.mbi.MultiLevelBlockIndex.search_batch` call,
-which amortises block selection and releases the GIL in the NumPy kernels.
+whose queries all reuse the window's memoised block selection.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ from pathlib import Path
 import numpy as np
 
 from ..core.config import MBIConfig, SearchParams
-from ..core.executor import QueryExecutor
 from ..core.mbi import MultiLevelBlockIndex
 from ..core.persistence import load_index, save_index
 from ..core.results import QueryResult
@@ -142,14 +141,6 @@ class ServiceConfig:
         max_batch: Max requests folded into one ``search_batch`` call.
         default_timeout: Default per-request deadline in seconds
             (``None`` = no deadline).
-        search_workers: Width of the service's private
-            :class:`repro.core.executor.QueryExecutor`.  One pool serves
-            both synchronous :meth:`~IndexService.search` calls (per-block
-            fan-out) and the worker's micro-batches (block-by-block batched
-            kernels via ``MBI.search_batch``), so admission-control
-            batching and query fan-out draw from the same bounded thread
-            set.  ``None`` disables the pool: queries run sequentially
-            (or per the index's own ``MBIConfig.query_parallel``).
         build_workers: Background build executor width.  The default of 1
             serialises chain builds, which keeps the build-time counters
             exact; queries never wait on builds either way.
@@ -188,7 +179,6 @@ class ServiceConfig:
     max_queue: int = 1024
     max_batch: int = 32
     default_timeout: float | None = None
-    search_workers: int | None = None
     build_workers: int = 1
     memory_budget_mb: float | None = None
     compact_interval: float | None = None
@@ -298,13 +288,6 @@ class IndexService:
         # Records already in the active segment (recovery reuses segments).
         self._segment_base = self._applied - self._wal.record_count
 
-        self._executor: QueryExecutor | None = (
-            QueryExecutor(
-                self._config.search_workers, name="repro-serve-query"
-            )
-            if self._config.search_workers is not None
-            else None
-        )
         self._build_pool = ThreadPoolExecutor(
             self._config.build_workers, thread_name_prefix="repro-build"
         )
@@ -330,7 +313,7 @@ class IndexService:
         if index.tiering is not None:
             from ..tiering.compactor import Compactor
 
-            self._compactor = Compactor(index.tiering, executor=self._executor)
+            self._compactor = Compactor(index.tiering)
             index.tiering.sync()
             if self._config.compact_interval is not None:
                 self._compactor.start(self._config.compact_interval)
@@ -478,12 +461,6 @@ class IndexService:
         """Admitted queries not yet started."""
         return len(self._queue)
 
-    @property
-    def executor(self) -> QueryExecutor | None:
-        """The service's private query pool (``None`` when
-        ``ServiceConfig.search_workers`` is unset)."""
-        return self._executor
-
     def _segment_path(self, start: int) -> Path:
         return self._data_dir / f"wal-{start:012d}.log"
 
@@ -604,11 +581,7 @@ class IndexService:
 
         Takes the read lock, so it may run concurrently with other
         searches and with background builds, and sees a consistent prefix
-        of the ingest stream.  When ``ServiceConfig.search_workers`` is
-        set, the query's selected blocks fan out across the service's
-        private :class:`~repro.core.executor.QueryExecutor` — results are
-        bit-identical to a sequential run (see
-        :meth:`repro.core.MultiLevelBlockIndex.search`).
+        of the ingest stream.
 
         When the process telemetry is armed and no explicit ``trace`` is
         given, the query may be head-sampled into a fresh
@@ -629,7 +602,6 @@ class IndexService:
                 query, k, t_start, t_end,
                 params=params, tau=tau, rng=rng,
                 trace=trace if trace is not None else sampled,
-                executor=self._executor,
             )
         if trace is None and telemetry.armed:
             telemetry.record(
@@ -777,22 +749,15 @@ class IndexService:
                         head.t_end,
                         rng=self._spawn_rng(),
                         trace=head.trace,
-                        executor=self._executor,
                     )
                 ]
             queries = np.stack([request.query for request in live])
-            # The batched block-by-block path: one pool task per selected
-            # block, brute blocks served by a single cross-distance kernel
-            # call for the whole micro-batch.  ``_execute`` runs on the
-            # service worker thread, never on a pool thread, so handing the
-            # pool in is deadlock-free.
             return self._index.search_batch(
                 queries,
                 head.k,
                 head.t_start,
                 head.t_end,
                 rng=self._spawn_rng(),
-                executor=self._executor,
             )
 
     # ------------------------------------------------------------- durability
@@ -877,10 +842,7 @@ class IndexService:
         Stops admitting, lets the worker answer every already-admitted
         request, waits for background builds, fsyncs the WAL, and — when
         ``checkpoint=True`` — writes a final snapshot so the next open
-        replays nothing.  The private query pool is shut down last;
-        searches racing the shutdown degrade to inline (sequential)
-        execution rather than failing — see
-        :meth:`repro.core.executor.QueryExecutor.map`.
+        replays nothing.
         """
         if self._closed:
             return
@@ -897,8 +859,6 @@ class IndexService:
                 self.checkpoint()
             self._wal.close()
         self._build_pool.shutdown(wait=True)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
 
     def abort(self) -> None:
         """Abandon the service as a crash would — no drain, no fsync.
@@ -928,8 +888,6 @@ class IndexService:
                 )
         self._worker.join(timeout=10.0)
         self._build_pool.shutdown(wait=False, cancel_futures=True)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
         self._wal.abandon()
 
     def __enter__(self) -> "IndexService":

@@ -20,8 +20,7 @@ worker (e.g. ``service.search=delay:0.4``).
 spawns them (ephemeral or fixed ports), waits for readiness, hands out
 :class:`~repro.sharding.transport.HttpTransport` instances, and can
 kill (``SIGKILL``, for chaos), restart, and drain them.  ``repro serve
---shards N`` and the bench harness's sharding suite are both built on
-it.
+--shards N`` is built on it.
 """
 
 from __future__ import annotations

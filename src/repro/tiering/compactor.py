@@ -5,10 +5,9 @@ pass does three things, in order:
 
 1. **Demotion sweep** — every built, unpinned block wholly *before* the
    hot window (see :meth:`~repro.tiering.manager.TierManager.hot_window_start`)
-   is demoted to the cold tier.  Cold copies are written concurrently on
-   a :class:`~repro.core.executor.QueryExecutor` pool (the write happens
-   under the tier's read lock; only the final backend detach takes the
-   write lock), then
+   is demoted to the cold tier (each cold copy is written under the
+   tier's read lock; only the final backend detach takes the write
+   lock), then
 2. **Budget enforcement** — if resident bytes still exceed the budget,
    LRU eviction demotes further blocks, and
 3. **Merge sweep** — cold blocks are retargeted at their topmost cold
@@ -30,7 +29,6 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..core.executor import QueryExecutor
 from ..exceptions import PersistenceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,16 +55,10 @@ class Compactor:
 
     Args:
         manager: The tier manager to compact.
-        executor: Pool for concurrent cold-copy writes; ``None`` writes
-            sequentially (an executor is only worth it when sweeps
-            demote many blocks at once).
     """
 
-    def __init__(
-        self, manager: "TierManager", executor: QueryExecutor | None = None
-    ) -> None:
+    def __init__(self, manager: "TierManager") -> None:
         self._manager = manager
-        self._executor = executor
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._run_lock = threading.Lock()
@@ -89,23 +81,11 @@ class Compactor:
         with self._run_lock:
             errors = 0
             demoted = 0
-            candidates = self.sweep_candidates()
-
-            def _demote(block) -> int:
+            for block in self.sweep_candidates():
                 try:
-                    return 1 if self._manager.demote(block) else 0
+                    demoted += 1 if self._manager.demote(block) else 0
                 except PersistenceError:
-                    return -1
-
-            if self._executor is not None and len(candidates) > 1:
-                results = self._executor.map(_demote, candidates)
-            else:
-                results = [_demote(block) for block in candidates]
-            for result in results:
-                if result < 0:
                     errors += 1
-                else:
-                    demoted += result
             demoted += self._manager.enforce_budget()
             retargeted = self._manager.compact_cold_files()
             return CompactionReport(

@@ -206,8 +206,7 @@ class TierManager:
         ``enable_tiering`` is first-config-wins; this is the explicit
         ops knob for changing the knobs afterwards (resize the budget
         without a restart, or pin a controlled budget over an ambient
-        ``REPRO_MEMORY_BUDGET_MB`` — the bench harness does exactly
-        that).  Arguments left at the ``...`` sentinel keep their
+        ``REPRO_MEMORY_BUDGET_MB``).  Arguments left at the ``...`` sentinel keep their
         current value; the new config re-validates, the cache budget is
         updated, and eviction brings residency under the new budget
         immediately.

@@ -78,3 +78,20 @@ class TestMemory:
         usage = index.memory_usage()
         assert usage["graphs"] == 0
         assert usage["total"] == usage["vectors"] > 0
+
+
+class TestSearchBatch:
+    def test_batch_matches_single_queries(self):
+        index = make_index(200)
+        queries = np.random.default_rng(3).standard_normal((5, 6))
+        batch = index.search_batch(queries, 4, 20.0, 150.0)
+        assert len(batch) == 5
+        for got, query in zip(batch, queries):
+            want = index.search(query, 4, 20.0, 150.0)
+            np.testing.assert_array_equal(got.positions, want.positions)
+            assert got.distances.tobytes() == want.distances.tobytes()
+            assert got.stats == want.stats
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(InvalidQueryError):
+            make_index(10).search_batch(np.zeros(6), 1)

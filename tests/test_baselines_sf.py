@@ -128,3 +128,20 @@ class TestSearch:
         usage = index.memory_usage()
         assert usage["graphs"] > 0
         assert usage["total"] == usage["vectors"] + usage["graphs"]
+
+
+class TestSearchBatch:
+    def test_batch_matches_single_queries(self):
+        index = make_index()
+        queries = np.random.default_rng(2).standard_normal((6, 8))
+        batch = index.search_batch(
+            queries, 5, 10.0, 350.0, rng=np.random.default_rng(2)
+        )
+        seeds = np.random.default_rng(2).integers(0, 2**63 - 1, size=6)
+        for got, query, seed in zip(batch, queries, seeds):
+            want = index.search(
+                query, 5, 10.0, 350.0, rng=np.random.default_rng(int(seed))
+            )
+            np.testing.assert_array_equal(got.positions, want.positions)
+            assert got.distances.tobytes() == want.distances.tobytes()
+            assert got.stats == want.stats

@@ -211,13 +211,6 @@ class TestServiceCommands:
         assert args.fsync == "always"
         assert args.max_queue == 1024
         assert args.timeout is None
-        assert args.search_workers is None
-
-    def test_serve_parser_accepts_search_workers(self):
-        args = build_parser().parse_args(
-            ["serve", "--data-dir", "/tmp/x", "--search-workers", "4"]
-        )
-        assert args.search_workers == 4
 
     def test_service_commands_require_data_dir(self, capsys):
         with pytest.raises(SystemExit):
@@ -237,32 +230,6 @@ class TestErrors:
         code = main(["info", "/nonexistent/snapshot.npz"])
         assert code == 1
         assert "error" in capsys.readouterr().err
-
-    def test_bench_paper_prints_instructions(self, capsys):
-        assert main(["bench", "--paper"]) == 0
-        assert "pytest benchmarks/" in capsys.readouterr().out
-
-    def test_bench_smoke_writes_valid_document(self, tmp_path, capsys):
-        import json
-        import sys
-        from pathlib import Path
-
-        repo_root = str(Path(__file__).resolve().parents[1])
-        if repo_root not in sys.path:
-            sys.path.insert(0, repo_root)
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--smoke", "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out
-        assert "sequential vs parallel" in stdout
-        payload = json.loads(out.read_text())
-        from benchmarks.harness import validate_bench
-
-        validate_bench(payload)
-        modes = {
-            row["mode"]
-            for row in payload["suites"]["sequential_vs_parallel"]["rows"]
-        }
-        assert modes == {"sequential", "parallel"}
 
 
 class TestChaos:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,22 @@ class TestRoundTrip:
         path = save_index(index, tmp_path / "empty")
         loaded = load_index(path)
         assert len(loaded) == 0
+
+    def test_snapshot_with_query_pool_keys_loads(self):
+        # Written by the library while it still had a query thread pool:
+        # the header's config carries that pool's three knobs, set to
+        # non-default values.  Loading ignores them.
+        path = Path(__file__).parent / "data" / "legacy_query_pool_snapshot.npz"
+        loaded = load_index(path)
+        assert loaded.config == small_mbi_config(leaf_size=16, seed=5)
+        assert len(loaded) == 72
+        twin = MultiLevelBlockIndex(4, "euclidean", loaded.config)
+        twin.extend(loaded.store.vectors, loaded.store.timestamps)
+        query = np.random.default_rng(1).standard_normal(4)
+        want = twin.search(query, 5, 3.0, 60.0, rng=np.random.default_rng(3))
+        got = loaded.search(query, 5, 3.0, 60.0, rng=np.random.default_rng(3))
+        np.testing.assert_array_equal(got.positions, want.positions)
+        assert got.distances.tobytes() == want.distances.tobytes()
 
     def test_build_counters_restored(self, tmp_path):
         index = build_index()

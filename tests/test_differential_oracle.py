@@ -2,9 +2,9 @@
 
 Each seed replays one randomized interleaving of deferred inserts and
 TkNN queries (random windows, ``k``, mixed built/unbuilt block trees)
-through four configurations — MBI-parallel, MBI-sequential, the wide-beam
-engine, the legacy greedy expansion order (``beam_width=1``) and the
-brute-force-everything configuration — and checks every pair against the
+through four configurations — the wide-beam engine, the legacy greedy
+expansion order (``beam_width=1``), the brute-force-everything
+configuration and the tiered compressed cold-tier index — and checks every pair against the
 strongest invariant it promises (see :mod:`repro.chaos` for the full
 list).  A failing seed reproduces with ``repro chaos --diff-seed <seed>``.
 """

@@ -91,7 +91,7 @@ def test_relative_links_resolve(doc: Path):
 def _cli_surface():
     """Map each subcommand path to the option strings it accepts.
 
-    Keys are tuples such as ``()``, ``("bench",)``, ``("shard",
+    Keys are tuples such as ``()``, ``("chaos",)``, ``("shard",
     "stats")``; values are sets of option strings (``--flag``/``-f``)
     valid at that path, inherited options included.
     """

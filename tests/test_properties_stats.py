@@ -126,15 +126,18 @@ class TestBatchIsMergeOfSearches:
             r.stats.distance_evaluations for r in results
         )
 
-    def test_parallel_batch_stats_equal_sequential(
+    def test_batch_stats_equal_single_query_stats(
         self, built_index, clustered_data
     ):
         _, _, queries = clustered_data
-        seq = built_index.search_batch(
+        batch = built_index.search_batch(
             queries[:6], 5, 10.0, 90.0, rng=np.random.default_rng(9)
         )
-        par = built_index.search_batch(
-            queries[:6], 5, 10.0, 90.0,
-            rng=np.random.default_rng(9), max_workers=3,
-        )
-        assert [r.stats for r in seq] == [r.stats for r in par]
+        seeds = np.random.default_rng(9).integers(0, 2**63 - 1, size=6)
+        singles = [
+            built_index.search(
+                query, 5, 10.0, 90.0, rng=np.random.default_rng(int(seed))
+            )
+            for query, seed in zip(queries[:6], seeds)
+        ]
+        assert [r.stats for r in batch] == [r.stats for r in singles]

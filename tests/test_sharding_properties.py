@@ -6,8 +6,8 @@ parameters; per-shard answers over the shard-local stores are merged
 exactly as :class:`~repro.sharding.ShardRouter` merges them (global
 positions, ascending ``(distance, position)`` lexsort, top-k) and must
 equal the unsharded index's answer bit for bit in its ranking
-(positions); distance values are held to the bench gate's 1e-12
-relative tolerance, because shard-local scans run their BLAS kernel
+(positions); distance values are held to a 1e-12 relative
+tolerance, because shard-local scans run their BLAS kernel
 over different matrix shapes than the unsharded scan.  On the exact
 search path the ranking identity is a theorem — per-shard exact top-k
 loses no global top-k candidate — so any divergence is a routing/merge
@@ -159,8 +159,8 @@ def test_merged_shard_topk_equals_unsharded(case):
     )
     # Distance *values* may differ in the last ulp: a shard-local scan
     # runs its BLAS kernel over a different matrix shape than the
-    # unsharded scan (same caveat, and the same tolerance, as the bench
-    # suite's identity gate — the ranking above stays byte-equal).
+    # unsharded scan (docs/sharding.md — the ranking above stays
+    # byte-equal).
     assert np.allclose(distances, want_distances, rtol=1e-12, atol=0.0)
 
 

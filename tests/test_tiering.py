@@ -2,9 +2,8 @@
 
 The headline property: for any memory budget — unbounded, tight, or a
 pathological one block — TkNN answers are **bit-identical** to the
-all-hot index, across sequential and parallel execution, under torn cold
-files, concurrent eviction, compaction, snapshots, and service recovery.
-Everything else here (cache LRU/pinning, cold-file format, compactor
+all-hot index, under torn cold files, concurrent eviction, compaction,
+snapshots, and service recovery.  Everything else here (cache LRU/pinning, cold-file format, compactor
 sweeps) exists to uphold that property.
 """
 
@@ -18,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MultiLevelBlockIndex, SearchParams, TieringConfig
-from repro.core.executor import QueryExecutor
 from repro.core.persistence import load_index, save_index
 from repro.distances.fused import NormCache
 from repro.distances.metrics import resolve_metric
@@ -73,14 +71,12 @@ def _build(vectors, timestamps) -> MultiLevelBlockIndex:
     return index
 
 
-def _answers(index, queries, executor=None):
+def _answers(index, queries):
     out = []
     for qi, query in enumerate(queries):
         for t0, t1 in _WINDOWS:
             result = index.search(
-                query, 10, t0, t1,
-                rng=np.random.default_rng(qi),
-                executor=executor,
+                query, 10, t0, t1, rng=np.random.default_rng(qi)
             )
             out.append(
                 (tuple(result.positions), tuple(map(float, result.distances)))
@@ -122,10 +118,7 @@ class TestBitIdentity:
     """The acceptance criterion: any budget, same bits."""
 
     @pytest.mark.parametrize("budget_mb", [0.05, 1e-4])
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_answers_match_unbounded(
-        self, clustered_data, tmp_path, budget_mb, parallel
-    ):
+    def test_answers_match_unbounded(self, clustered_data, tmp_path, budget_mb):
         vectors, timestamps, queries = clustered_data
         baseline = _build(vectors, timestamps)
         want = _answers(baseline, queries[:8])
@@ -136,13 +129,7 @@ class TestBitIdentity:
         )
         # The budget must actually bite: most blocks go cold up front.
         assert _cold_fraction(tiered) >= 0.5
-        pool = QueryExecutor(4, name="test-tiering") if parallel else None
-        try:
-            got = _answers(tiered, queries[:8], executor=pool)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        assert got == want
+        assert _answers(tiered, queries[:8]) == want
 
     def test_tier_counters_move(self, clustered_data, tmp_path):
         vectors, timestamps, queries = clustered_data

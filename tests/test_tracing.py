@@ -228,3 +228,17 @@ class TestStitchedTrace:
         )
         assert got.router_trace is None
         assert got.render() == stitched.render()
+
+    def test_legacy_parallel_flag_is_ignored(self, explained_trace):
+        # Traces written while a query thread pool existed carry a
+        # "parallel" flag per QueryTrace payload; decoding drops it.
+        stitched = self._stitched(explained_trace)
+        wire = json.loads(json.dumps(stitched_to_wire(stitched)))
+        for payload in wire["shard_traces"].values():
+            payload["parallel"] = True
+        got = stitched_from_wire(wire)
+        assert (
+            got.shard_traces[0].signature()
+            == stitched.shard_traces[0].signature()
+        )
+        assert got.render() == stitched.render()
