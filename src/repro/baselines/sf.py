@@ -43,6 +43,11 @@ _BUILD_SECONDS = _METRICS.counter(
     "baseline_sf_build_seconds_total", "Seconds spent (re)building SF's graph"
 )
 
+# SF scans a window of at most this many vectors exactly when
+# ``SearchParams.brute_force_threshold`` is ``None`` (MBI's block planner
+# has no counterpart here: SF has one global graph).
+BRUTE_FORCE_THRESHOLD = 64
+
 
 class SFIndex:
     """Approximate TkNN via a single global proximity graph.
@@ -187,7 +192,8 @@ class SFIndex:
                 QueryStats(window_size=positions.stop - positions.start)
             )
         span = allowed.stop - allowed.start
-        if span <= params.brute_force_threshold:
+        threshold = params.brute_force_threshold
+        if span <= (BRUTE_FORCE_THRESHOLD if threshold is None else threshold):
             # A tiny window is cheaper (and exact) via a direct scan; graph
             # search under a near-empty filter can otherwise drop results.
             from ..core.brute import brute_force_topk

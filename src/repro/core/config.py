@@ -150,21 +150,22 @@ class SearchParams:
             fused distance calls, trading a little extra exploration for
             much higher throughput (see ``docs/performance.md`` for the
             measured ``beam_width`` x ``epsilon`` sweep).
-        brute_force_threshold: When the query window covers at most this
-            many vectors of a block, scan them exactly instead of running
-            graph search.  A vectorised scan of a few dozen vectors is both
-            faster and exact, whereas graph search under a tiny filter can
-            drop in-window nodes from its capped candidate set.  Set to 0
-            for the paper's literal Algorithm 4 (graph search on every
-            built block).
-        cold_adc_threshold: When ``MBIConfig.cold_codes`` is on and a cold
-            block's in-window span exceeds this many vectors, answer it
-            ADC-first from its resident code sidecar (compressed scan +
-            exact memmap re-rank, no promotion) instead of promoting the
-            whole block.  Spans at or below the threshold keep the cheap
-            exact paths (brute scan / promote) — for tiny spans the ADC
-            table build costs more than it saves.  Ignored when
-            ``cold_codes`` is off.
+        brute_force_threshold: ``None`` (the default) lets the block
+            planner (:mod:`repro.core.planner`) scan a selected block's
+            in-window rows exactly whenever its cost table prices that
+            below one graph search of the block.  An int pins the fixed
+            rule instead: scan exactly when the window covers at most this
+            many vectors of a block.  ``0`` is the paper's literal
+            Algorithm 4 (graph search on every built block) and ``10**9``
+            scans everything.
+        cold_adc_threshold: When ``MBIConfig.cold_codes`` is on, a cold
+            block the plan would graph-search, and whose in-window span
+            exceeds this many vectors, is answered ADC-first from its
+            resident code sidecar (compressed scan + exact memmap
+            re-rank, no promotion) instead of being promoted.  Spans at or
+            below the threshold promote — for tiny spans the ADC table
+            build costs more than it saves.  Ignored when ``cold_codes``
+            is off.
         cold_rerank_factor: ADC candidates per requested neighbor that the
             cold-tier compressed search re-ranks with exact memmap reads.
             Higher values gather more rows for the exact pass: recall is
@@ -177,7 +178,7 @@ class SearchParams:
     entry_sample: int = 32
     n_entries: int = 4
     beam_width: int = 32
-    brute_force_threshold: int = 64
+    brute_force_threshold: int | None = None
     cold_adc_threshold: int = 64
     cold_rerank_factor: int = 4
 
@@ -203,7 +204,7 @@ class SearchParams:
             raise ConfigurationError(
                 f"beam_width must be >= 1, got {self.beam_width}"
             )
-        if self.brute_force_threshold < 0:
+        if self.brute_force_threshold is not None and self.brute_force_threshold < 0:
             raise ConfigurationError(
                 f"brute_force_threshold must be >= 0, "
                 f"got {self.brute_force_threshold}"

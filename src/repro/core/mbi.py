@@ -8,9 +8,12 @@ an append-only timestamped vector store:
   every ancestor whose subtree just completed.  Blocks are numbered in
   creation order, which equals postorder traversal order.
 * **Query** (Algorithm 4): top-down block selection picks a time-disjoint
-  search block set covering the query window; each built block answers with
-  graph search (Algorithm 2), the open leaf with brute force; partial
-  results merge into the final TkNN answer.
+  search block set covering the query window; the block planner
+  (:mod:`repro.core.planner`) then has each block answered either with
+  graph search (Algorithm 2) or with an exact scan of its in-window rows,
+  whichever its cost table prices lower (the open leaf is always
+  scanned), and adjacent scanned blocks share one scan; partial results
+  merge into the final TkNN answer.
 
 The bottom-up merge chain builds each block independently, so the index can
 optionally build them in a thread pool (the paper's "Parallelization of
@@ -44,6 +47,7 @@ from .backends import GraphBackend, get_builder
 from .block import Block
 from .brute import brute_force_topk
 from .config import MBIConfig, SearchParams, TieringConfig
+from .planner import BRUTE, GRAPH, PlanStep, plan, runs, scan_us
 from .results import QueryResult, QueryStats, merge_partial_results
 from .selection import select_blocks
 from .tree import leaf_block_index, leaf_range_of
@@ -111,8 +115,8 @@ class MultiLevelBlockIndex:
         self._metric = resolve_metric(metric)
         self._config = config if config is not None else MBIConfig()
         self._store = VectorStore(dim)
-        # Fused-scan norm cache for every brute-force path (open leaf and
-        # short-window slices).  The store is
+        # Fused-scan norm cache for every brute-force path (the open leaf
+        # and planned scans).  The store is
         # append-only, so rows are cached once and never invalidated;
         # built blocks own their *own* snapshot caches (see GraphBackend).
         self._scan = StoreNormCache(self._store, self._metric)
@@ -499,9 +503,12 @@ class MultiLevelBlockIndex:
         The query resolves its time window to a store position range, walks
         the block tree top-down to pick a time-disjoint search block set
         (the τ rule — see :func:`repro.core.selection.select_blocks`),
-        answers each selected block in turn (graph search on built blocks,
-        an exact scan on the open leaf or tiny window slices), and merges
-        the per-block partial results into the final top-``k``.
+        plans each selected block (graph search, or an exact scan of its
+        in-window rows where that is cheaper — see
+        :func:`repro.core.planner.plan`), answers the plan with one
+        coalesced scan per run of adjacent scanned blocks and one graph
+        search per remaining block, and merges the partial results into
+        the final top-``k``.
 
         One seed per selected block is drawn from ``rng`` before any block
         runs, and the merge is a stable sort on ``(distance, position)``, so
@@ -566,26 +573,31 @@ class MultiLevelBlockIndex:
         selected = self._select_blocks_cached(
             window, effective_tau, positions, trace
         )
+        steps = plan(selected, positions, params, self.dim, len(self._store))
         if self._tiering is not None:
             # Pin the window's blocks against eviction and (optionally)
-            # promote cold ones up front.
-            self._tiering.note_selection(selected)
+            # promote the cold ones the plan will graph-search.
+            self._tiering.note_selection(steps)
         block_seeds = rng.integers(0, 2**63 - 1, size=len(selected))
         partials: list[tuple[np.ndarray, np.ndarray]] = []
         stats = QueryStats(window_size=positions.stop - positions.start)
-        for block, seed in zip(selected, block_seeds):
-            found, block_stats = self._search_block(
-                block,
-                query,
-                k,
-                positions,
-                params,
-                np.random.default_rng(int(seed)),
-                trace=trace,
-                t0=started,
-            )
+        for run in runs(steps):
+            if steps[run.start].strategy == BRUTE:
+                found, run_stats = self._scan_steps(
+                    steps[run.start : run.stop], query, k, trace=trace, t0=started
+                )
+            else:
+                found, run_stats = self._search_block(
+                    steps[run.start],
+                    query,
+                    k,
+                    params,
+                    np.random.default_rng(int(block_seeds[run.start])),
+                    trace=trace,
+                    t0=started,
+                )
             partials.append(found)
-            stats = stats.merged_with(block_stats)
+            stats = stats.merged_with(run_stats)
         merged_positions, merged_dists = merge_partial_results(partials, k)
 
         _SEARCH_QUERIES.inc()
@@ -718,41 +730,97 @@ class MultiLevelBlockIndex:
         ids = (local.start + best[top]).astype(np.int64)
         return (ids, exact[top]), shortlist_size
 
-    def _search_block(
+    def _scan_steps(
         self,
-        block: Block,
+        steps: list[PlanStep],
         query: np.ndarray,
         k: int,
-        window: range,
+        trace: QueryTrace | None = None,
+        t0: float = 0.0,
+    ) -> tuple[tuple[np.ndarray, np.ndarray], QueryStats]:
+        """One exact scan over the adjacent rows of consecutive ``brute`` steps.
+
+        Each block is charged its own rows (the counting convention of
+        :mod:`repro.core.results`), so the stats equal those of scanning
+        the blocks one by one.  With a ``trace`` every block appends an
+        event, sharing the scan's time by row count, and the scan appends
+        one plan step.
+        """
+        rows = range(steps[0].rows.start, steps[-1].rows.stop)
+        began = time.perf_counter() if trace is not None else 0.0
+        found = brute_force_topk(
+            self._store, self._metric, query, k, rows, norms=self._scan
+        )
+        stats = QueryStats()
+        for step in steps:
+            stats = stats.merged_with(QueryStats.for_brute_force(len(step.rows)))
+        if trace is not None:
+            seconds = time.perf_counter() - began
+            started = began - t0
+            for step in steps:
+                block, lo, hi = step.block, step.rows.start, step.rows.stop
+                built, tier = block.backend is not None, "hot"
+                if not built and self._tiering is not None:
+                    # A scanned slice of a *cold* block is still a built
+                    # block; label it so explain output is honest.
+                    built = self._tiering.is_cold(block)
+                    if built:
+                        tier = "cold"
+                share = seconds * (hi - lo) / len(rows)
+                trace.record_block(
+                    block_index=block.index,
+                    height=block.height,
+                    positions=(block.positions.start, block.positions.stop),
+                    window=(lo, hi),
+                    built=built,
+                    strategy=BRUTE,
+                    reason=step.reason if built else "open-leaf",
+                    nodes_visited=0,
+                    distance_evaluations=hi - lo,
+                    seconds=share,
+                    n_results=int(np.count_nonzero((found[0] >= lo) & (found[0] < hi))),
+                    started=started,
+                    tier=tier,
+                )
+                started += share
+            trace.record_step(
+                BRUTE,
+                tuple(step.block.index for step in steps),
+                (rows.start, rows.stop),
+                scan_us(len(rows), self.dim),
+                seconds * 1e6,
+            )
+        return found, stats
+
+    def _search_block(
+        self,
+        step: PlanStep,
+        query: np.ndarray,
+        k: int,
         params: SearchParams,
         rng: np.random.Generator,
         trace: QueryTrace | None = None,
         t0: float = 0.0,
     ) -> tuple[tuple[np.ndarray, np.ndarray], QueryStats]:
-        """TkNN inside one selected block: SF on built blocks, BSBF otherwise.
+        """Search one block the plan graph-searches (Algorithm 2).
 
-        Per-block stats follow the counting convention of
-        :mod:`repro.core.results` via the :class:`QueryStats` constructors —
-        every strategy charges every metric-kernel evaluation it performs.
-        With a ``trace`` the block appends one event to it, its ``started``
-        an offset from the query start ``t0``.
+        A cold block answers ADC-first from its code sidecar when
+        ``cold_codes`` is on; otherwise it is promoted and its graph walked.
+        A sealed block whose build is still deferred has no graph yet and
+        is scanned exactly.  With a ``trace`` the block appends one event
+        and one plan step, its ``started`` an offset from the query start
+        ``t0``.
         """
-        filled_stop = min(block.positions.stop, len(self._store))
-        local = range(
-            max(window.start, block.positions.start),
-            min(window.stop, filled_stop),
-        )
-        span = local.stop - local.start
-        block_started = time.perf_counter() if trace is not None else 0.0
-        backend = block.backend
+        block, local = step.block, step.rows
+        span = len(local)
+        began = time.perf_counter() if trace is not None else 0.0
         tier = "hot"
         found = None
         if (
             self._tiering is not None
-            and backend is None
+            and block.backend is None
             and self._config.cold_codes
             and span > params.cold_adc_threshold
-            and span > params.brute_force_threshold
         ):
             # Compressed cold-tier search: scan the block's resident PQ
             # codes (ADC) and exact-rerank a small shortlist from the
@@ -766,58 +834,47 @@ class MultiLevelBlockIndex:
                     nodes_visited=0,
                     distance_evaluations=span + rerank_rows,
                 )
-                built, strategy, reason, tier = True, "adc", "cold-codes", "cold"
+                strategy, reason, tier = "adc", "cold-codes", "cold"
         if found is None:
-            if self._tiering is not None and (
-                backend is not None or span > params.brute_force_threshold
-            ):
-                # Cold block: promote through the tier before the strategy
-                # decision.  Hot blocks go through resolve too (hit counter,
-                # LRU recency).  Short-window slices of a cold block skip
-                # the promotion — they brute-force against the shared store
-                # either way, exactly like the untiered index.
+            backend = block.backend
+            if self._tiering is not None:
+                # Cold block: promote through the tier.  Hot blocks go
+                # through resolve too (hit counter, LRU recency).
                 backend, tier = self._tiering.resolve(block)
-            if backend is None or span <= params.brute_force_threshold:
-                # Open (non-full) leaf — Algorithm 4 line 6 — or a window
-                # slice small enough that an exact scan beats the block index.
-                found = brute_force_topk(
-                    self._store, self._metric, query, k, local, norms=self._scan
-                )
-                stats = QueryStats.for_brute_force(span)
-                built = backend is not None
-                if trace is not None and not built and self._tiering is not None:
-                    # A short-window slice of a *cold* block is still a
-                    # built block; label it so explain output is honest.
-                    built = self._tiering.is_cold(block)
-                    if built:
-                        tier = "cold"
-                strategy = "brute"
-                reason = "short-window" if built else "open-leaf"
-            else:
-                offset = block.positions.start
-                allowed = range(local.start - offset, local.stop - offset)
-                outcome = backend.search(query, k, allowed, params, rng)
-                found = ((offset + outcome.ids).astype(np.int64), outcome.dists)
-                stats = QueryStats.for_graph_search(
-                    nodes_visited=outcome.nodes_visited,
-                    distance_evaluations=outcome.distance_evaluations,
-                )
-                built, strategy, reason = True, "graph", "built-block"
+            if backend is None:
+                return self._scan_steps([step], query, k, trace=trace, t0=t0)
+            offset = block.positions.start
+            allowed = range(local.start - offset, local.stop - offset)
+            outcome = backend.search(query, k, allowed, params, rng)
+            found = ((offset + outcome.ids).astype(np.int64), outcome.dists)
+            stats = QueryStats.for_graph_search(
+                nodes_visited=outcome.nodes_visited,
+                distance_evaluations=outcome.distance_evaluations,
+            )
+            strategy, reason = GRAPH, step.reason
         if trace is not None:
+            seconds = time.perf_counter() - began
             trace.record_block(
                 block_index=block.index,
                 height=block.height,
                 positions=(block.positions.start, block.positions.stop),
                 window=(local.start, local.stop),
-                built=built,
+                built=True,
                 strategy=strategy,
                 reason=reason,
                 nodes_visited=stats.nodes_visited,
                 distance_evaluations=stats.distance_evaluations,
-                seconds=time.perf_counter() - block_started,
+                seconds=seconds,
                 n_results=len(found[0]),
-                started=block_started - t0,
+                started=began - t0,
                 tier=tier,
+            )
+            trace.record_step(
+                strategy,
+                (block.index,),
+                (local.start, local.stop),
+                step.est_us,
+                seconds * 1e6,
             )
         return found, stats
 

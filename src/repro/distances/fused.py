@@ -103,6 +103,42 @@ def row_norms(points: np.ndarray) -> np.ndarray:
     return np.where(norms == 0.0, 1.0, norms)
 
 
+# Elements (rows * dim) below which every OpenBLAS build runs a gemv on one
+# thread: 2304 * GEMM_MULTITHREAD_THRESHOLD, whose default is 4.
+GEMV_SERIAL_ELEMENTS = 2304 * 4
+
+
+def range_dots(points: np.ndarray, lo: int, hi: int, q: np.ndarray) -> np.ndarray:
+    """``points[lo:hi] @ q`` with each row's value independent of the range.
+
+    BLAS ``gemv`` kernels take rows four at a time and finish the last
+    ``n % 4`` of a call with another kernel that rounds differently, and a
+    threaded ``gemv`` splits its rows into one such call per thread.  The
+    same row scanned inside two differently shaped ranges (one coalesced
+    scan against per-block scans, one shard's rows against the whole
+    store's) could therefore get distances a last ulp apart.  Here every
+    row goes through the four-row kernel: the range is cut into calls of a
+    multiple of four rows, each small enough to stay on one thread
+    (:data:`GEMV_SERIAL_ELEMENTS`), and the tail rows are taken from a
+    four-row call ending at ``hi``.  The result does not depend on the
+    range, the thread count or the host's core count.
+    """
+    n = hi - lo
+    dots = np.empty(n, dtype=np.result_type(points.dtype, q.dtype))
+    body = n - n % 4
+    step = max(4, (GEMV_SERIAL_ELEMENTS - 1) // points.shape[1] // 4 * 4)
+    for start in range(0, body, step):
+        stop = min(start + step, body)
+        np.matmul(points[lo + start : lo + stop], q, out=dots[start:stop])
+    if body < n:
+        if len(points) >= 4:
+            start = max(0, hi - 4)
+            dots[body:] = (points[start : start + 4] @ q)[lo + body - start : hi - start]
+        else:
+            dots[body:] = points[lo + body : hi] @ q
+    return dots
+
+
 def _row_data_for(kind: str, points: np.ndarray) -> np.ndarray | None:
     if kind == _KIND_SQ:
         return row_sq_norms(points)
@@ -135,24 +171,30 @@ class FusedQuery:
 
     # ------------------------------------------------------------- kernels
 
-    def _rank_rows(self, rows: np.ndarray, row_data: np.ndarray | None) -> np.ndarray:
+    def _rank_rows(
+        self,
+        rows: np.ndarray,
+        row_data: np.ndarray | None,
+        dots: np.ndarray | None = None,
+    ) -> np.ndarray:
         kind = self._kind
+        if kind == _KIND_GENERIC:
+            return np.asarray(
+                self._owner.metric.batch(self.q, rows), dtype=RANK_DTYPE
+            )
+        if dots is None:
+            dots = rows @ self.q  # float64 via dtype promotion
         if kind == _KIND_SQ:
-            dot = rows @ self.q  # float64 via dtype promotion
-            rank = row_data - 2.0 * dot
+            rank = row_data - 2.0 * dots
             rank += self.q_sq
             np.maximum(rank, 0.0, out=rank)
             return rank
         if kind == _KIND_ANGULAR:
             if self.q_norm == 0.0:
                 return np.ones(len(rows), dtype=RANK_DTYPE)
-            sims = (rows @ self.q) / (row_data * self.q_norm)
+            sims = dots / (row_data * self.q_norm)
             return 1.0 - sims
-        if kind == _KIND_IP:
-            return -(rows @ self.q)
-        return np.asarray(
-            self._owner.metric.batch(self.q, rows), dtype=RANK_DTYPE
-        )
+        return -dots
 
     def gather(self, idx: np.ndarray) -> np.ndarray:
         """Rank distances from the query to ``points[idx]`` (one fused call)."""
@@ -162,11 +204,19 @@ class FusedQuery:
         return self._rank_rows(rows, row_data)
 
     def range(self, lo: int, hi: int) -> np.ndarray:
-        """Rank distances for the contiguous row range ``[lo, hi)`` (no gather copy)."""
+        """Rank distances for the contiguous row range ``[lo, hi)`` (no gather copy).
+
+        A row's value does not depend on ``lo`` or ``hi``
+        (:func:`range_dots`), so one scan over adjacent ranges ranks every
+        row exactly as separate scans of each range would.
+        """
         rows = self.points[lo:hi]
         row_data = self.row_data[lo:hi] if self.row_data is not None else None
         self._owner.evaluations += len(rows)
-        return self._rank_rows(rows, row_data)
+        dots = None if self._kind == _KIND_GENERIC else range_dots(
+            self.points, lo, hi, self.q
+        )
+        return self._rank_rows(rows, row_data, dots)
 
     # ----------------------------------------------------------- rank space
 

@@ -44,6 +44,7 @@ from .telemetry import (
 )
 from .trace import (
     BlockSearchEvent,
+    PlanStepEvent,
     QueryTrace,
     SelectionEvent,
     ShardScatterEvent,
@@ -72,6 +73,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "PlanStepEvent",
     "QueryTrace",
     "SelectionEvent",
     "ShardScatterEvent",

@@ -75,14 +75,18 @@ class BlockSearchEvent:
         strategy: ``"graph"``, ``"brute"``, or ``"adc"`` (compressed
             cold-tier search: PQ code scan + exact memmap rerank).
         reason: Why that strategy — ``"built-block"`` (graph), ``"open-leaf"``
-            (no backend yet), ``"short-window"`` (span at or below
-            ``SearchParams.brute_force_threshold``), or ``"cold-codes"``
-            (a demoted block answered from its resident code sidecar).
+            (no backend yet), ``"short-window"`` (span at or below a
+            pinned ``SearchParams.brute_force_threshold``),
+            ``"scan-cheaper"`` (the block planner priced the scan below a
+            graph search), or ``"cold-codes"`` (a demoted block answered
+            from its resident code sidecar).
         nodes_visited: Graph nodes popped (0 for brute force).
         distance_evaluations: Distance computations charged to this block
             (see the convention in :mod:`repro.core.results`).
-        seconds: Wall-clock time spent inside the block.
-        n_results: Partial results the block contributed before the merge.
+        seconds: Wall-clock time spent inside the block.  Blocks scanned
+            together in one coalesced scan share its time by row count.
+        n_results: Partial results the block contributed before the merge
+            (for a coalesced scan: the scan's results inside this block).
         started: When the block search began, as an offset in seconds from
             the start of the query.  Together with ``seconds`` this is the
             block's *timing span*; the spans of one query's blocks abut.
@@ -108,6 +112,31 @@ class BlockSearchEvent:
     n_results: int
     started: float = 0.0
     tier: str = "hot"
+
+
+@dataclass(frozen=True)
+class PlanStepEvent:
+    """One executed step of the query's block plan.
+
+    Consecutive blocks the planner scans run as one step (one coalesced
+    scan); every other block is a step of its own.
+
+    Attributes:
+        strategy: ``"brute"``, ``"graph"``, or ``"adc"``.
+        blocks: Postorder ids of the blocks the step covered.
+        rows: The store-position span the step searched.
+        est_us: The planner's cost estimate for the step, in microseconds
+            (an ADC step keeps the estimate of the graph search it
+            replaced).
+        actual_us: Measured wall-clock microseconds.  Timing only, so
+            excluded from :meth:`QueryTrace.signature` like ``est_us``.
+    """
+
+    strategy: str
+    blocks: tuple[int, ...]
+    rows: tuple[int, int]
+    est_us: float
+    actual_us: float
 
 
 @dataclass(frozen=True)
@@ -156,10 +185,12 @@ class QueryTrace:
         t_end: Query window end.
         tau: Block-selection threshold in force.
         selection_mode: ``"count"`` or ``"time"``.
-        brute_force_threshold: Per-block exact-scan cutoff in force.
+        brute_force_threshold: The pinned per-block exact-scan cutoff, or
+            ``None`` when the block planner chose each block's strategy.
         window_positions: Store positions the window resolved to.
         selection: The selection walk, in visit order.
         blocks: Per-block searches, in execution order.
+        plan: The executed block plan, one event per step.
         shards: Per-shard scatter spans, one per shard, when the query
             ran through a :class:`~repro.sharding.ShardRouter` (empty
             for single-process queries).
@@ -174,10 +205,11 @@ class QueryTrace:
     t_end: float = math.nan
     tau: float = math.nan
     selection_mode: str = ""
-    brute_force_threshold: int = 0
+    brute_force_threshold: int | None = None
     window_positions: tuple[int, int] = (0, 0)
     selection: list[SelectionEvent] = field(default_factory=list)
     blocks: list[BlockSearchEvent] = field(default_factory=list)
+    plan: list[PlanStepEvent] = field(default_factory=list)
     shards: list[ShardScatterEvent] = field(default_factory=list)
     result_positions: tuple[int, ...] = ()
     result_distances: tuple[float, ...] = ()
@@ -227,7 +259,7 @@ class QueryTrace:
         started: float = 0.0,
         tier: str = "hot",
     ) -> None:
-        """Append one per-block search event (called by ``MBI._search_block``)."""
+        """Append one per-block search event (called by ``MBI.search``)."""
         self.blocks.append(
             BlockSearchEvent(
                 block_index=block_index,
@@ -245,6 +277,17 @@ class QueryTrace:
                 tier=tier,
             )
         )
+
+    def record_step(
+        self,
+        strategy: str,
+        blocks: tuple[int, ...],
+        rows: tuple[int, int],
+        est_us: float,
+        actual_us: float,
+    ) -> None:
+        """Append one executed plan step (called by ``MBI.search``)."""
+        self.plan.append(PlanStepEvent(strategy, blocks, rows, est_us, actual_us))
 
     def record_shard(
         self,
@@ -322,6 +365,7 @@ class QueryTrace:
             ),
             self.result_positions,
             self.result_distances,
+            tuple((e.strategy, e.blocks, e.rows) for e in self.plan),
         )
 
     def summary(self) -> dict[str, float]:
@@ -353,9 +397,14 @@ class QueryTrace:
             f"{self.t_end:.6g}) -> positions [{lo}, {hi}) "
             f"({self.window_size} vectors)"
         )
+        threshold = (
+            "planner"
+            if self.brute_force_threshold is None
+            else self.brute_force_threshold
+        )
         lines.append(
             f"tau={self.tau:g} (selection mode: {self.selection_mode or '?'}), "
-            f"brute-force threshold: {self.brute_force_threshold}"
+            f"brute-force threshold: {threshold}"
         )
         lines.append("")
         lines.append("block selection walk:")
@@ -389,6 +438,16 @@ class QueryTrace:
                 f"{e.n_results:>3} hits  "
                 f"@{e.started * 1e3:7.3f}+{e.seconds * 1e3:.3f} ms{tier}"
             )
+        if self.plan:
+            lines.append("")
+            lines.append("executed plan:")
+            for s in self.plan:
+                blocks = ",".join(str(b) for b in s.blocks)
+                rows = f"{s.rows[0]}..{s.rows[1]}"
+                lines.append(
+                    f"  {s.strategy:<5} blocks {blocks:<16} rows {rows:<13} "
+                    f"est {s.est_us:9.1f} us  actual {s.actual_us:9.1f} us"
+                )
         if self.shards:
             lines.append("")
             lines.append("shard scatter:")

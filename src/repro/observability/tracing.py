@@ -32,6 +32,7 @@ from typing import Mapping
 from ..core.results import QueryStats
 from .trace import (
     BlockSearchEvent,
+    PlanStepEvent,
     QueryTrace,
     SelectionEvent,
     ShardScatterEvent,
@@ -285,6 +286,16 @@ def trace_to_wire(trace: QueryTrace) -> dict[str, object]:
             }
             for e in trace.blocks
         ],
+        "plan": [
+            {
+                "strategy": e.strategy,
+                "blocks": list(e.blocks),
+                "rows": list(e.rows),
+                "est_us": e.est_us,
+                "actual_us": e.actual_us,
+            }
+            for e in trace.plan
+        ],
         "shards": [
             {
                 "shard": e.shard,
@@ -319,15 +330,18 @@ def trace_from_wire(payload: Mapping[str, object]) -> QueryTrace:
     """Reconstruct a :class:`QueryTrace` from :func:`trace_to_wire` output.
 
     Keys the decoder does not know (such as the ``"parallel"`` flag older
-    writers sent) are ignored.
+    writers sent) are ignored.  ``brute_force_threshold`` is ``null`` when
+    the block planner chose the strategies; older writers always sent an
+    int and no ``"plan"``.
     """
+    threshold = payload.get("brute_force_threshold")
     trace = QueryTrace(
         k=int(payload.get("k", 0)),
         t_start=float(payload.get("t_start", math.nan)),
         t_end=float(payload.get("t_end", math.nan)),
         tau=float(payload.get("tau", math.nan)),
         selection_mode=str(payload.get("selection_mode", "")),
-        brute_force_threshold=int(payload.get("brute_force_threshold", 0)),
+        brute_force_threshold=None if threshold is None else int(threshold),
         window_positions=tuple(
             int(v) for v in payload.get("window_positions", (0, 0))
         ),
@@ -368,6 +382,16 @@ def trace_from_wire(payload: Mapping[str, object]) -> QueryTrace:
                 n_results=int(e["n_results"]),
                 started=float(e.get("started", 0.0)),
                 tier=str(e.get("tier", "hot")),
+            )
+        )
+    for e in payload.get("plan", ()):
+        trace.plan.append(
+            PlanStepEvent(
+                strategy=str(e["strategy"]),
+                blocks=tuple(int(b) for b in e["blocks"]),
+                rows=tuple(int(v) for v in e["rows"]),
+                est_us=float(e["est_us"]),
+                actual_us=float(e["actual_us"]),
             )
         )
     for e in payload.get("shards", ()):

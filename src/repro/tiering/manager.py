@@ -39,12 +39,13 @@ import time
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..core.backends import BlockBackend, GraphBackend, get_builder, get_loader
 from ..core.config import TieringConfig
+from ..core.planner import GRAPH
 from ..distances.fused import NormCache
 from ..exceptions import PersistenceError
 from ..graph.knn_graph import NO_NEIGHBOR, KnnGraph
@@ -58,6 +59,7 @@ from .cache import BlockCache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.block import Block
     from ..core.mbi import MultiLevelBlockIndex
+    from ..core.planner import PlanStep
 
 _REGISTRY = get_registry()
 _HITS = _REGISTRY.counter(
@@ -388,33 +390,33 @@ class TierManager:
             _CODE_BYTES.set(self._cache.code_resident_bytes)
             self._publish_resident()
 
-    def note_selection(self, blocks: Iterable["Block"]) -> None:
-        """Pin the blocks a query window selected; prefetch cold ones.
+    def note_selection(self, steps: Sequence["PlanStep"]) -> None:
+        """Pin the blocks a query planned; prefetch the cold ones it walks.
 
-        Called by block selection before fan-out: pinned blocks survive
-        eviction while the query is in flight, and (with
-        ``prefetch_selected``) cold selected blocks are promoted up
-        front so parallel fan-out never stalls mid-search.  Blocks the
-        query can answer compressed (``cold_codes`` on, sidecar present,
-        span above ``cold_adc_threshold``) are *not* prefetched —
-        promoting them would defeat the ADC path.
+        Called after planning, before the blocks are searched: pinned
+        blocks survive eviction while the query is in flight, and (with
+        ``prefetch_selected``) cold blocks the plan graph-searches are
+        promoted up front.  A block the plan scans is never promoted: the
+        scan reads the shared store.  Blocks the query can answer
+        compressed (``cold_codes`` on, sidecar present, span above
+        ``cold_adc_threshold``) are not prefetched either — promoting
+        them would defeat the ADC path.
         """
-        blocks = list(blocks)
-        self._cache.pin(b.index for b in blocks)
+        self._cache.pin(step.block.index for step in steps)
         if not self._config.prefetch_selected:
             return
-        threshold = self._index._config.search.brute_force_threshold
         cold_codes = self._index._config.cold_codes
         adc_threshold = self._index._config.search.cold_adc_threshold
-        for block in blocks:
+        for step in steps:
+            block = step.block
             if (
-                block.backend is None
-                and block.capacity > threshold
+                step.strategy == GRAPH
+                and block.backend is None
                 and self.is_cold(block)
             ):
                 if (
                     cold_codes
-                    and block.capacity > adc_threshold
+                    and len(step.rows) > adc_threshold
                     and block.index not in self._bad_codes
                     and self._cold.has_codes(block.index)
                 ):

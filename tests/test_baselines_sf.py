@@ -112,6 +112,27 @@ class TestSearch:
         assert result.stats.distance_evaluations == 10
         assert len(result) == 5
 
+    def test_default_params_keep_the_64_row_scan_rule(self):
+        # SF has no block planner: with ``brute_force_threshold=None`` it
+        # scans windows of at most 64 rows, as when 64 was the default.
+        index = make_index(n=600)
+        query = np.random.default_rng(4).standard_normal(8)
+        pinned = SearchParams(brute_force_threshold=64)
+        windows = {(100.0, 150.0): False, (50.0, 550.0): True}
+        for (t_start, t_end), walks in windows.items():
+            got = index.search(
+                query, 10, t_start, t_end, params=SearchParams(),
+                rng=np.random.default_rng(1),
+            )
+            want = index.search(
+                query, 10, t_start, t_end, params=pinned,
+                rng=np.random.default_rng(1),
+            )
+            np.testing.assert_array_equal(got.positions, want.positions)
+            assert got.distances.tobytes() == want.distances.tobytes()
+            assert got.stats == want.stats
+            assert (got.stats.graph_blocks == 1) == walks
+
     def test_stale_tail_not_searched(self):
         index = make_index(n=100)
         index.insert(np.zeros(8), 1000.0)  # not in the graph

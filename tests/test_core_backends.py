@@ -30,7 +30,9 @@ def ivf_config(leaf_size=64):
         leaf_size=leaf_size,
         backend="ivf",
         ivf=IVFConfig(points_per_list=16),
-        search=SearchParams(epsilon=1.3, max_candidates=64),
+        search=SearchParams(
+            epsilon=1.3, max_candidates=64, brute_force_threshold=64
+        ),
     )
 
 

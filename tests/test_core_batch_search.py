@@ -17,14 +17,17 @@ from .conftest import small_mbi_config
 
 N, DIM, LEAF = 512, 8, 64
 
-# Window per strategy it must exercise: 40 rows stay under the 64-row scan
-# threshold, a wide window graph-searches built blocks, and an old window
-# on the tiered index answers cold blocks from their PQ codes.
+# Window per strategy it must exercise: the block planner scans 40 rows,
+# and a wide window too (as one coalesced scan across blocks); with the
+# 64-row rule pinned the wide window graph-searches built blocks; and an
+# old window on the tiered index answers cold blocks from their PQ codes.
 WINDOWS = {
     "scan": (100.0, 140.0, "brute"),
+    "coalesced": (10.0, 500.0, "brute"),
     "graph": (10.0, 500.0, "graph"),
     "adc": (0.0, 300.0, "adc"),
 }
+FIXTURES = {"graph": "graph_index", "adc": "adc_index"}
 
 
 def _data():
@@ -49,6 +52,12 @@ def _build(config) -> MultiLevelBlockIndex:
 @pytest.fixture(scope="module")
 def index():
     return _build(small_mbi_config(leaf_size=LEAF))
+
+
+@pytest.fixture(scope="module")
+def graph_index():
+    search = SearchParams(epsilon=1.2, max_candidates=64, brute_force_threshold=64)
+    return _build(small_mbi_config(leaf_size=LEAF, search=search))
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +111,7 @@ class TestSearchBatch:
 
     @pytest.mark.parametrize("case", sorted(WINDOWS))
     def test_batch_matches_single_queries(self, request, case):
-        idx = request.getfixturevalue("adc_index" if case == "adc" else "index")
+        idx = request.getfixturevalue(FIXTURES.get(case, "index"))
         t_start, t_end, strategy = WINDOWS[case]
         queries = np.random.default_rng(3).standard_normal((4, DIM))
         trace = idx.explain(

@@ -135,10 +135,13 @@ class TestQueryCorrectness:
             vectors.shape[1], "euclidean", small_mbi_config(leaf_size=100)
         )
         index.extend(vectors, timestamps)
-        params = SearchParams(epsilon=1.25, max_candidates=128)
+        params = SearchParams(
+            epsilon=1.25, max_candidates=128, brute_force_threshold=64
+        )
         hits = total = 0
         for query in queries:
             result = index.search(query, 10, params=params)
+            assert result.stats.graph_blocks > 0
             truth = exact_tknn(index.store, index.metric, query, 10)
             hits += len(set(result.positions.tolist()) & set(truth.positions.tolist()))
             total += 10

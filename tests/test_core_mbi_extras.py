@@ -68,7 +68,9 @@ class TestTimeSelectionMode:
             leaf_size=64,
             selection_mode="time",
             graph=fast_graph_config(),
-            search=SearchParams(epsilon=1.3, max_candidates=64),
+            search=SearchParams(
+                epsilon=1.3, max_candidates=64, brute_force_threshold=64
+            ),
         )
         index = MultiLevelBlockIndex(8, "euclidean", config)
         rng = np.random.default_rng(3)
@@ -79,6 +81,7 @@ class TestTimeSelectionMode:
         )
         query = rng.standard_normal(8)
         result = index.search(query, 10, 200.0, 800.0)
+        assert result.stats.graph_blocks > 0
         truth = exact_tknn(
             index.store, index.metric, query, 10, 200.0, 800.0
         )

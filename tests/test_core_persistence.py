@@ -20,6 +20,10 @@ from repro.graph import NNDescentParams
 
 from .conftest import small_mbi_config
 
+# Written by the library before it had a block planner, and while it still
+# had a query thread pool.
+LEGACY_SNAPSHOT = Path(__file__).parent / "data" / "legacy_query_pool_snapshot.npz"
+
 
 @pytest.fixture(autouse=True)
 def _pin_cold_codes(monkeypatch):
@@ -111,9 +115,11 @@ class TestRoundTrip:
         # Written by the library while it still had a query thread pool:
         # the header's config carries that pool's three knobs, set to
         # non-default values.  Loading ignores them.
-        path = Path(__file__).parent / "data" / "legacy_query_pool_snapshot.npz"
-        loaded = load_index(path)
-        assert loaded.config == small_mbi_config(leaf_size=16, seed=5)
+        loaded = load_index(LEGACY_SNAPSHOT)
+        # The snapshot predates the block planner, so its 64-row scan rule
+        # stays pinned (see test_legacy_snapshot_keeps_its_scan_threshold).
+        search = SearchParams(epsilon=1.2, max_candidates=64, brute_force_threshold=64)
+        assert loaded.config == small_mbi_config(leaf_size=16, seed=5, search=search)
         assert len(loaded) == 72
         twin = MultiLevelBlockIndex(4, "euclidean", loaded.config)
         twin.extend(loaded.store.vectors, loaded.store.timestamps)
@@ -122,6 +128,28 @@ class TestRoundTrip:
         got = loaded.search(query, 5, 3.0, 60.0, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(got.positions, want.positions)
         assert got.distances.tobytes() == want.distances.tobytes()
+
+    def test_legacy_snapshot_keeps_its_scan_threshold(self):
+        # Snapshots written before the block planner carry the old default
+        # threshold (64) as a plain int: it loads pinned, so the index keeps
+        # answering with the fixed rule it answered with when saved.
+        loaded = load_index(LEGACY_SNAPSHOT)
+        assert loaded.config.search.brute_force_threshold == 64
+        query = np.random.default_rng(1).standard_normal(4)
+        trace = loaded.explain(query, 5, 3.0, 60.0, rng=np.random.default_rng(3))
+        assert trace.brute_force_threshold == 64
+        assert {e.reason for e in trace.blocks} <= {"short-window", "open-leaf"}
+
+    def test_new_snapshot_stores_planner_default_as_null(self, tmp_path):
+        import json
+
+        index = build_index()
+        assert index.config.search.brute_force_threshold is None
+        path = save_index(index, tmp_path / "planner")
+        with np.load(path) as archive:
+            header = json.loads(bytes(archive["header"]).decode())
+        assert header["config"]["search"]["brute_force_threshold"] is None
+        assert load_index(path).config.search.brute_force_threshold is None
 
     def test_build_counters_restored(self, tmp_path):
         index = build_index()

@@ -23,6 +23,7 @@ from repro.distances.fused import (
     NormCache,
     StoreNormCache,
     as_fused_points,
+    range_dots,
     row_norms,
     row_sq_norms,
 )
@@ -87,6 +88,44 @@ class TestRowNorms:
     def test_zero_row_norm_replaced_by_one(self):
         points = np.zeros((3, 4), dtype=np.float32)
         np.testing.assert_array_equal(row_norms(points), np.ones(3))
+
+
+class TestRangeDots:
+    """``range_dots`` is ``points[lo:hi] @ q``, rounded the same for a row
+    whatever range it is scanned in."""
+
+    @pytest.mark.parametrize("dim", [3, 8, 24, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_round_alike_in_every_range(self, dim, dtype):
+        points = _dataset(n=203, dim=dim).astype(dtype)
+        q = _dataset(seed=1, n=1, dim=dim)[0]
+        whole = range_dots(points, 0, len(points), q)
+        np.testing.assert_allclose(whole, points @ q, rtol=1e-12, atol=1e-12)
+        rng = np.random.default_rng(dim)
+        for lo in [0, 1, 2, 3, 199, 200, 201, 202] + rng.integers(0, 202, 30).tolist():
+            for hi in (lo + 1, lo + 2, lo + 3, lo + 5, min(len(points), lo + 70)):
+                hi = min(hi, len(points))
+                got = range_dots(points, lo, hi, q)
+                assert got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+    def test_ranges_past_the_blas_threading_cutoff(self):
+        # 12 000 x 64 is past the size at which a multi-core OpenBLAS runs
+        # one gemv on several threads, each ending its rows with a tail
+        # kernel; a plain ``points[lo:hi] @ q`` then rounds interior rows
+        # differently for different ranges.
+        points = _dataset(n=12_000, dim=64)
+        q = _dataset(seed=3, n=1, dim=64)[0]
+        n = len(points)
+        whole = range_dots(points, 0, n, q)
+        for lo, hi in [(3, n - 1), (0, n // 2 + 1), (n // 2 + 1, n), (1, 4_003)]:
+            got = range_dots(points, lo, hi, q)
+            assert got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+    def test_fewer_than_four_rows_in_total(self):
+        points = _dataset(n=3, dim=5)
+        q = _dataset(seed=2, n=1, dim=5)[0]
+        np.testing.assert_allclose(range_dots(points, 0, 3, q), points @ q)
+        np.testing.assert_allclose(range_dots(points, 1, 2, q), points[1:2] @ q)
 
 
 class TestFusedAgainstReference:

@@ -127,7 +127,10 @@ class TestHNSWBackendInMBI:
             leaf_size=200,
             backend="hnsw",
             hnsw=HNSWParams(m=8, ef_construction=48),
-            search=SearchParams(epsilon=1.3, max_candidates=64),
+            # Pinned so the 200-row blocks are walked, not scanned.
+            search=SearchParams(
+                epsilon=1.3, max_candidates=64, brute_force_threshold=64
+            ),
         )
         idx = MultiLevelBlockIndex(12, "euclidean", config)
         points = clustered(n=800, seed=4)
@@ -141,16 +144,18 @@ class TestHNSWBackendInMBI:
 
     def test_windowed_recall(self, index):
         rng = np.random.default_rng(5)
-        hits = 0
+        hits = graph_blocks = 0
         for _ in range(20):
             query = rng.standard_normal(12)
             result = index.search(query, 10, 100.0, 700.0)
+            graph_blocks += result.stats.graph_blocks
             truth = exact_tknn(
                 index.store, index.metric, query, 10, 100.0, 700.0
             )
             hits += len(
                 set(result.positions.tolist()) & set(truth.positions.tolist())
             )
+        assert graph_blocks > 0
         assert hits / 200 > 0.85
 
     def test_persistence_round_trip(self, index, tmp_path):

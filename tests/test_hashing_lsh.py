@@ -113,7 +113,8 @@ class TestLSHBackendInMBI:
             leaf_size=200,
             backend="lsh",
             lsh=LSHParams(n_tables=10, n_bits=7, max_probe_bits=5),
-            search=SearchParams(epsilon=1.3),
+            # Pinned so the 200-row blocks are hashed, not scanned.
+            search=SearchParams(epsilon=1.3, brute_force_threshold=64),
         )
         idx = MultiLevelBlockIndex(24, "angular", config)
         points = unit_points(n=800, seed=4)
@@ -124,17 +125,19 @@ class TestLSHBackendInMBI:
         from repro.baselines import exact_tknn
 
         rng = np.random.default_rng(5)
-        hits = 0
+        hits = graph_blocks = 0
         for _ in range(20):
             anchor = index.store.vectors[int(rng.integers(0, 800))]
             query = anchor.astype(np.float64) + 0.05 * rng.standard_normal(24)
             result = index.search(query, 10, 100.0, 700.0)
+            graph_blocks += result.stats.graph_blocks
             truth = exact_tknn(
                 index.store, index.metric, query, 10, 100.0, 700.0
             )
             hits += len(
                 set(result.positions.tolist()) & set(truth.positions.tolist())
             )
+        assert graph_blocks > 0
         assert hits / 200 > 0.7
 
     def test_exact_fallback_fills_results(self, index):

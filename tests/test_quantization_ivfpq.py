@@ -177,7 +177,7 @@ class TestSerializationAndMBI:
             ivfpq=IVFPQConfig(
                 points_per_list=16, pq_subspaces=4, pq_centroids=16
             ),
-            search=SearchParams(epsilon=1.3),
+            search=SearchParams(epsilon=1.3, brute_force_threshold=64),
         )
         index = MultiLevelBlockIndex(16, "euclidean", config)
         rng = np.random.default_rng(9)
@@ -187,6 +187,7 @@ class TestSerializationAndMBI:
         )
         result = index.search(rng.standard_normal(16), 5, 100.0, 400.0)
         assert len(result) == 5
+        assert result.stats.graph_blocks > 0
 
         loaded = load_index(save_index(index, tmp_path / "ivfpq"))
         assert loaded.config.backend == "ivfpq"

@@ -5,8 +5,10 @@ For randomized TkNN workloads, every trace must show:
 * the selected blocks' clipped windows are pairwise disjoint,
 * their union is exactly the query's position window,
 * per-block distance counters sum to the query's total,
-* brute force is chosen exactly when the block is an open leaf or its
-  in-window span is at most ``brute_force_threshold``.
+* with ``brute_force_threshold`` pinned to an int, brute force is chosen
+  exactly when the block is an open leaf or its in-window span is at most
+  the threshold; with the default ``None``, every block is searched the
+  way the block planner's plan says.
 
 These are the properties that make EXPLAIN output trustworthy: if any
 failed, the trace would describe a different query than the one answered.
@@ -17,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import MultiLevelBlockIndex
+from repro import MultiLevelBlockIndex, SearchParams
+from repro.core import planner
 from repro.observability.trace import SELECTED
 
 from .conftest import small_mbi_config
@@ -41,7 +44,7 @@ def _random_windows(timestamps, n, seed):
         yield float(a), float(b)
 
 
-def _traces(index_and_data, n=25, seed=123):
+def _traces(index_and_data, n=25, seed=123, params=None):
     index, timestamps, queries = index_and_data
     rng = np.random.default_rng(seed)
     for i, (t_start, t_end) in enumerate(
@@ -49,7 +52,7 @@ def _traces(index_and_data, n=25, seed=123):
     ):
         query = queries[i % len(queries)]
         k = int(rng.integers(1, 20))
-        yield index.explain(query, k, t_start, t_end, rng=rng)
+        yield index.explain(query, k, t_start, t_end, params=params, rng=rng)
 
 
 class TestWindowCoverage:
@@ -110,11 +113,17 @@ class TestCounterConsistency:
 
 
 class TestStrategyRule:
-    def test_brute_force_iff_open_leaf_or_short_window(self, index_and_data):
-        """The strategy decision is a pure function of built + span + S_b."""
+    def test_brute_force_iff_open_leaf_or_short_window(
+        self, index_and_data
+    ):
+        """A pinned int keeps the fixed rule: built + span + S_b decide."""
+        params = SearchParams(
+            epsilon=1.2, max_candidates=64, brute_force_threshold=64
+        )
         saw_brute = saw_graph = False
-        for trace in _traces(index_and_data, n=40, seed=7):
+        for trace in _traces(index_and_data, n=40, seed=7, params=params):
             threshold = trace.brute_force_threshold
+            assert threshold == 64
             for event in trace.blocks:
                 span = event.window[1] - event.window[0]
                 expect_brute = (not event.built) or span <= threshold
@@ -133,6 +142,40 @@ class TestStrategyRule:
                     assert event.reason == "built-block"
         # The randomized workload must exercise both strategies, or the
         # iff above is vacuous.
+        assert saw_brute and saw_graph
+
+    def test_default_strategy_is_the_plans(self, index_and_data, monkeypatch):
+        """``None`` does what the planner priced, block by block."""
+        # At this scale every scan is cheaper than a graph search; pricing
+        # rows 20x higher makes the planner walk the larger blocks too, so
+        # both strategies are exercised.
+        monkeypatch.setattr(
+            planner, "SCAN_US_PER_ROW", planner.SCAN_US_PER_ROW * 20
+        )
+        index = index_and_data[0]
+        saw_brute = saw_graph = False
+        for trace in _traces(index_and_data, n=40, seed=7):
+            assert trace.brute_force_threshold is None
+            steps = planner.plan(
+                [index.blocks[e.block_index] for e in trace.blocks],
+                range(*trace.window_positions),
+                index.config.search,
+                index.dim,
+                len(index),
+            )
+            assert len(steps) == len(trace.blocks)
+            for event, step in zip(trace.blocks, steps):
+                assert event.strategy == step.strategy, (event, step)
+                assert event.window == (step.rows.start, step.rows.stop)
+                assert event.reason == step.reason
+                if event.strategy == "brute":
+                    saw_brute = True
+                    assert event.reason in ("open-leaf", "scan-cheaper")
+                    assert event.distance_evaluations == len(step.rows)
+                else:
+                    saw_graph = True
+            # Adjacent scanned blocks ran as one step of the executed plan.
+            assert len(trace.plan) == len(planner.runs(steps))
         assert saw_brute and saw_graph
 
     def test_selection_walk_selects_exactly_the_searched_blocks(

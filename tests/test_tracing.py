@@ -156,6 +156,28 @@ class TestQueryTraceCodec:
         got = trace_from_wire(trace_to_wire(explained_trace))
         assert got.render() == explained_trace.render()
 
+    def test_planner_threshold_round_trips_as_null(self, explained_trace):
+        # The default SearchParams leave strategy to the block planner.
+        assert explained_trace.brute_force_threshold is None
+        wire = json.loads(json.dumps(trace_to_wire(explained_trace)))
+        assert wire["brute_force_threshold"] is None
+        got = trace_from_wire(wire)
+        assert got.brute_force_threshold is None
+        assert got.plan == explained_trace.plan
+        assert "brute-force threshold: planner" in got.render()
+
+    def test_decodes_payload_without_a_plan(self, explained_trace):
+        # Writers older than the block planner always sent an int threshold
+        # and no "plan" key.
+        wire = trace_to_wire(explained_trace)
+        wire["brute_force_threshold"] = 64
+        del wire["plan"]
+        got = trace_from_wire(json.loads(json.dumps(wire)))
+        assert got.brute_force_threshold == 64
+        assert got.plan == []
+        assert got.blocks == explained_trace.blocks
+        assert "brute-force threshold: 64" in got.render()
+
 
 class TestStitchedTrace:
     def _stitched(self, explained_trace) -> StitchedTrace:

@@ -145,7 +145,11 @@ class TestVPTreeBackendInMBI:
             )
 
     def test_angular_metric_rankings(self):
-        config = MBIConfig(leaf_size=128, backend="vptree")
+        config = MBIConfig(
+            leaf_size=128,
+            backend="vptree",
+            search=SearchParams(brute_force_threshold=64),
+        )
         index = MultiLevelBlockIndex(8, "angular", config)
         rng = np.random.default_rng(7)
         index.extend(
@@ -154,6 +158,7 @@ class TestVPTreeBackendInMBI:
         )
         query = rng.standard_normal(8)
         result = index.search(query, 5, 0.0, 128.0)
+        assert result.stats.graph_blocks == 1
         truth = exact_tknn(index.store, index.metric, query, 5, 0.0, 128.0)
         np.testing.assert_array_equal(
             np.sort(result.positions), np.sort(truth.positions)
