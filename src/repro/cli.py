@@ -710,9 +710,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-
-    from .service import IndexService, make_server
+    from .service import IndexService, make_server, serve_until_signal
 
     if args.shards:
         return _cmd_serve_sharded(args)
@@ -741,33 +739,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "endpoints: /healthz /metrics /query /ingest /checkpoint "
         "/debug/trace/recent /debug/slow"
     )
-
-    def _shutdown(signum: int, _frame: object) -> None:
-        print(f"signal {signum}: draining ...", file=sys.stderr)
-        # shutdown() blocks until serve_forever()'s loop notices the
-        # request — and that loop runs on this very thread, currently
-        # suspended beneath this handler.  Hand the call to a helper
-        # thread so the handler returns and the loop can exit.
-        import threading
-
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _shutdown)
-    signal.signal(signal.SIGINT, _shutdown)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-        service.close()
-        print("drained; bye")
+    serve_until_signal(server, service.close, announce="draining ...")
+    print("drained; bye")
     return 0
 
 
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     """``repro serve --shards N``: workers + scatter-gather router."""
-    import signal
-
     from .observability.telemetry import configure_telemetry
+    from .service import serve_until_signal
     from .sharding import (
         RouterConfig,
         ShardCluster,
@@ -819,23 +799,12 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         "/shard/stats /debug/trace/recent /debug/slow"
     )
 
-    def _shutdown(signum: int, _frame: object) -> None:
-        print(f"signal {signum}: draining shards ...", file=sys.stderr)
-        # Same trick as single-process serve: shutdown() must not run
-        # on the thread serve_forever() occupies, or it deadlocks.
-        import threading
-
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _shutdown)
-    signal.signal(signal.SIGINT, _shutdown)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
+    def close() -> None:
         router.close()
         cluster.stop()
-        print("drained; bye")
+
+    serve_until_signal(server, close, announce="draining shards ...")
+    print("drained; bye")
     return 0
 
 

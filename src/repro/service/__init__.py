@@ -15,7 +15,7 @@ that operational (see ``docs/serving.md``):
 
 from .admission import AdmissionQueue, QueryRequest
 from .locks import RWLock
-from .server import make_server, serve_forever
+from .server import make_server, serve_until_signal
 from .service import IndexService, RecoveryReport, ServiceConfig
 from .wal import (
     FSYNC_POLICIES,
@@ -38,5 +38,5 @@ __all__ = [
     "WriteAheadLog",
     "make_server",
     "replay_wal",
-    "serve_forever",
+    "serve_until_signal",
 ]

@@ -461,6 +461,15 @@ class IndexService:
         """Admitted queries not yet started."""
         return len(self._queue)
 
+    def health(self) -> dict:
+        """The liveness document ``GET /healthz`` serves."""
+        return {
+            "status": "draining" if self._closed else "ok",
+            "records": self._applied,
+            "blocks": self.index.num_blocks,
+            "pending_queries": len(self._queue),
+        }
+
     def _segment_path(self, start: int) -> Path:
         return self._data_dir / f"wal-{start:012d}.log"
 

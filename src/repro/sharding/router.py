@@ -42,6 +42,7 @@ from ..core.results import QueryStats
 from ..core.shardmap import ShardPlan, prune_shards
 from ..exceptions import (
     ConfigurationError,
+    DimensionMismatchError,
     ShardUnavailableError,
     TimestampOrderError,
 )
@@ -157,6 +158,7 @@ class ShardRouter:
         self._shards = [_ShardState(transport=t) for t in transports]
         for state in self._shards:
             info = state.transport.info(plan.stripe_size)
+            self.dim = int(info["dim"])
             state.records = int(info["records"])
             state.bounds = [
                 (float(lo), float(hi)) for lo, hi in info["stripe_bounds"]
@@ -501,6 +503,9 @@ class ShardRouter:
         :class:`QueryTrace`) records the shard spans of the batch.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        if queries.shape[1] != self.dim:
+            # The client's fault, not the shards': never scatter it.
+            raise DimensionMismatchError(self.dim, queries.shape[1])
         if allow_partial is None:
             allow_partial = self.config.allow_partial
         if seed is None:

@@ -1,52 +1,30 @@
 """The router's HTTP frontend: one port in front of N worker shards.
 
-``repro serve --shards N`` binds this in the parent process.  The
-endpoint surface mirrors the single-shard frontend
-(:mod:`repro.service.server`) so clients need no changes — plus a
-``partial`` flag on ``/query`` replies (degraded scatter-gather) and
-``GET /shard/stats`` for topology.
-
-===================  =======  =========================================
-path                 method   behaviour
-===================  =======  =========================================
-/healthz             GET      aggregate liveness + per-shard health rows
-/metrics             GET      **fleet** metrics — the router's registry
-                              merged with every reachable worker's
-                              (counters/gauges summed, histograms merged
-                              bucket-wise), Prometheus text format
-/metrics/json        GET      the same merged fleet state as JSON
-/debug/trace/recent  GET      recently sampled stitched traces
-                              (``?n=`` limits)
-/debug/slow          GET      the router's slow-query log (``?n=``)
-/query               POST     scatter-gather TkNN; reply carries
-                              ``partial``, ``queried_shards``,
-                              ``failed_shards``
-/ingest              POST     route to the owning shard (single or batch)
-/checkpoint          POST     snapshot + WAL rotation on every shard
-/shard/stats         GET      the router's topology/occupancy document
-===================  =======  =========================================
-
-Status codes follow the single-shard frontend (400 malformed, 503
-draining) plus 503 for a failed required shard
+``repro serve --shards N`` binds this in the parent process.  It is the
+single-service route table of :mod:`repro.service.server` re-pointed at
+a :class:`ShardRouter` — same handler, same ``/ingest`` and ``/debug/*``
+routes, same status codes — so clients need no changes.  It differs in
+four routes: ``/healthz`` aggregates per-shard health rows, ``/metrics``
+and ``/metrics/json`` serve the **fleet** state merged from every
+reachable worker, ``/query`` replies carry ``partial`` and the
+queried/pruned/failed shard lists, and ``GET /shard/stats`` adds the
+topology document.  A failed required shard
 (:class:`~repro.exceptions.ShardUnavailableError` without
-``allow_partial``).
+``allow_partial``) is a 503 naming the ``shard``.
 """
 
 from __future__ import annotations
 
-import json
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from http.server import ThreadingHTTPServer
 
-import numpy as np
-
-from ..exceptions import ReproError, ShardUnavailableError
-from ..observability.metrics import render_prometheus
-from ..observability.telemetry import get_telemetry, record_to_wire
+from ..service.server import (
+    Routes,
+    answer_to_wire,
+    query_args,
+    route_server,
+    shared_routes,
+)
 from .router import ShardRouter
-
-_MAX_BODY = 64 * 1024 * 1024
 
 __all__ = ["make_router_server"]
 
@@ -59,153 +37,50 @@ def make_router_server(
     ``port=0`` binds an ephemeral port — read it back from
     ``server.server_address``.
     """
-
-    class Handler(_RouterHandler):
-        """Per-server handler subclass carrying the injected state."""
-
-    Handler.router = router
-    server = ThreadingHTTPServer((host, port), Handler)
-    server.daemon_threads = True
-    return server
+    return route_server(router_routes(router), host, port)
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Request handler translating HTTP to :class:`ShardRouter` calls."""
+def router_routes(router: ShardRouter) -> Routes:
+    """The router's route table (what :func:`make_router_server` serves)."""
 
-    router: ShardRouter  # injected by make_router_server
-    protocol_version = "HTTP/1.1"
+    def healthz(params: dict, body: None) -> tuple[int, dict]:
+        """``GET /healthz``: per-shard rows; 503 unless all ok or draining."""
+        rows = router.health()
+        ok = all(row["ok"] or row["draining"] for row in rows)
+        return 200 if ok else 503, {
+            "status": "ok" if ok else "degraded",
+            "records": router.total_records,
+            "shards": rows,
+        }
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        """Silence per-request stderr logging; metrics cover it."""
-
-    def _reply(self, status: int, payload: dict | str) -> None:
-        if isinstance(payload, str):
-            body = payload.encode("utf-8")
-            content_type = "text/plain; charset=utf-8"
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0 or length > _MAX_BODY:
-            raise ValueError(f"bad Content-Length {length}")
-        payload = json.loads(self.rfile.read(length))
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        """Serve ``/healthz``, ``/metrics``, and ``/shard/stats``."""
-        if self.path == "/healthz":
-            rows = self.router.health()
-            ok = all(row["ok"] or row["draining"] for row in rows)
-            self._reply(
-                200 if ok else 503,
-                {
-                    "status": "ok" if ok else "degraded",
-                    "records": self.router.total_records,
-                    "shards": rows,
-                },
-            )
-        elif self.path == "/metrics":
-            self._reply(
-                200, render_prometheus(self.router.fleet_metrics_state())
-            )
-        elif self.path == "/metrics/json":
-            self._reply(200, self.router.fleet_metrics_state())
-        elif self.path.startswith("/debug/trace/recent"):
-            self._reply_records(get_telemetry().recent)
-        elif self.path.startswith("/debug/slow"):
-            self._reply_records(get_telemetry().slow)
-        elif self.path == "/shard/stats":
-            self._reply(200, self.router.stats())
-        else:
-            self._reply(404, {"error": f"unknown path {self.path}"})
-
-    def _reply_records(self, buffer) -> None:
-        """Serve one trace buffer as ``{"records": [...]}`` (``?n=`` limits)."""
-        query = urllib.parse.urlparse(self.path).query
-        params = urllib.parse.parse_qs(query)
-        try:
-            n = int(params["n"][0]) if "n" in params else None
-        except ValueError:
-            self._reply(400, {"error": f"bad n {params['n'][0]!r}"})
-            return
-        self._reply(
-            200,
-            {
-                "records": [
-                    record_to_wire(record) for record in buffer.recent(n)
-                ],
-                "dropped": buffer.dropped,
-            },
-        )
-
-    def do_POST(self) -> None:  # noqa: N802
-        """Serve ``/query``, ``/ingest``, and ``/checkpoint``."""
-        try:
-            if self.path == "/query":
-                self._handle_query()
-            elif self.path == "/ingest":
-                self._handle_ingest()
-            elif self.path == "/checkpoint":
-                self.router.checkpoint()
-                self._reply(200, {"checkpointed": self.router.n_shards})
-            else:
-                self._reply(404, {"error": f"unknown path {self.path}"})
-        except ShardUnavailableError as error:
-            self._reply(503, {"error": str(error), "shard": error.shard})
-        except (ReproError, ValueError, KeyError, TypeError) as error:
-            self._reply(400, {"error": str(error)})
-
-    def _handle_query(self) -> None:
-        """Scatter-gather one query; the reply carries the ``partial`` flag."""
-        payload = self._read_json()
-        result = self.router.search(
-            np.asarray(payload["query"], dtype=np.float64),
-            int(payload.get("k", 10)),
-            float(payload.get("t_start", float("-inf"))),
-            float(payload.get("t_end", float("inf"))),
-            seed=(int(payload["seed"]) if "seed" in payload else None),
+    def query(params: dict, body: dict) -> tuple[int, dict]:
+        """``POST /query``: scatter-gather; the reply carries ``partial``."""
+        result = router.search(
+            *query_args(body),
+            seed=int(body["seed"]) if "seed" in body else None,
             allow_partial=(
-                bool(payload["allow_partial"])
-                if "allow_partial" in payload
-                else None
+                bool(body["allow_partial"]) if "allow_partial" in body else None
             ),
         )
-        self._reply(
-            200,
-            {
-                "positions": [int(p) for p in result.positions],
-                "distances": [float(d) for d in result.distances],
-                "timestamps": [float(t) for t in result.timestamps],
-                "partial": result.partial,
-                "queried_shards": list(result.queried_shards),
-                "pruned_shards": list(result.pruned_shards),
-                "failed_shards": list(result.failed_shards),
-                "blocks_searched": result.stats.blocks_searched,
-                "distance_evaluations": result.stats.distance_evaluations,
-            },
-        )
+        return 200, {
+            **answer_to_wire(result),
+            "partial": result.partial,
+            "queried_shards": list(result.queried_shards),
+            "pruned_shards": list(result.pruned_shards),
+            "failed_shards": list(result.failed_shards),
+            "blocks_searched": result.stats.blocks_searched,
+            "distance_evaluations": result.stats.distance_evaluations,
+        }
 
-    def _handle_ingest(self) -> None:
-        """Route an ingest (single or batch) to the owning shard(s)."""
-        payload = self._read_json()
-        if "vectors" in payload:
-            assigned = self.router.ingest_batch(
-                np.asarray(payload["vectors"], dtype=np.float64),
-                np.asarray(payload["timestamps"], dtype=np.float64),
-            )
-            self._reply(200, {"positions": [assigned.start, assigned.stop]})
-        else:
-            position = self.router.ingest(
-                np.asarray(payload["vector"], dtype=np.float64),
-                float(payload["timestamp"]),
-            )
-            self._reply(200, {"position": position})
+    def checkpoint(params: dict, body: dict) -> tuple[int, dict]:
+        """``POST /checkpoint``: snapshot + WAL rotation on every shard."""
+        router.checkpoint()
+        return 200, {"checkpointed": router.n_shards}
+
+    return {
+        **shared_routes(router, router.fleet_metrics_state),
+        ("GET", "/healthz"): healthz,
+        ("GET", "/shard/stats"): lambda params, body: (200, router.stats()),
+        ("POST", "/query"): query,
+        ("POST", "/checkpoint"): checkpoint,
+    }

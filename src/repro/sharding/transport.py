@@ -213,13 +213,7 @@ class InProcessTransport(ShardTransport):
 
     def healthz(self) -> dict:
         """Liveness from the wrapped service (no socket involved)."""
-        service = self.service
-        return {
-            "status": "draining" if service.closed else "ok",
-            "records": service.applied_records,
-            "blocks": service.index.num_blocks,
-            "pending_queries": service.pending_queries,
-        }
+        return self.service.health()
 
     def checkpoint(self) -> None:
         """Snapshot + WAL rotation on the wrapped service."""

@@ -28,7 +28,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import urllib.parse
 from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from pathlib import Path
@@ -36,7 +35,11 @@ from pathlib import Path
 from ..core.config import MBIConfig
 from ..core.shardmap import ShardPlan
 from ..faultinject import install_from_env
-from ..service.server import _ServiceHandler
+from ..service.server import (
+    route_server,
+    serve_until_signal,
+    service_routes,
+)
 from ..service.service import IndexService, ServiceConfig
 from .transport import HttpTransport, shard_info
 
@@ -49,27 +52,6 @@ __all__ = [
 ]
 
 
-class _WorkerHandler(_ServiceHandler):
-    """The shard worker's HTTP handler: base endpoints + ``/shard/info``."""
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        """Serve ``/shard/info`` (router attach) or defer to the base."""
-        if self.path.startswith("/shard/info"):
-            if not self._admit_request():
-                return
-            query = urllib.parse.urlparse(self.path).query
-            params = urllib.parse.parse_qs(query)
-            try:
-                stripe_size = int(params.get("stripe_size", ["0"])[0])
-                if stripe_size < 1:
-                    raise ValueError(f"bad stripe_size {stripe_size}")
-                self._reply(200, shard_info(self.service, stripe_size))
-            except (ValueError, KeyError) as error:
-                self._reply(400, {"error": str(error)})
-            return
-        super().do_GET()
-
-
 def make_worker_server(
     service: IndexService, host: str = "127.0.0.1", port: int = 0
 ) -> ThreadingHTTPServer:
@@ -80,13 +62,15 @@ def make_worker_server(
     it back from ``server.server_address``).
     """
 
-    class Handler(_WorkerHandler):
-        """Per-server handler subclass carrying the injected state."""
+    def info(params: dict, body: None) -> tuple[int, dict]:
+        """``GET /shard/info?stripe_size=N``: what the router attaches by."""
+        stripe_size = int(params.get("stripe_size", ["0"])[0])
+        if stripe_size < 1:
+            raise ValueError(f"bad stripe_size {stripe_size}")
+        return 200, shard_info(service, stripe_size)
 
-    Handler.service = service
-    server = ThreadingHTTPServer((host, port), Handler)
-    server.daemon_threads = True
-    return server
+    routes = {**service_routes(service), ("GET", "/shard/info"): info}
+    return route_server(routes, host, port)
 
 
 def run_worker(
@@ -123,23 +107,12 @@ def run_worker(
     )
     server = make_worker_server(service, host, port)
 
-    def _shutdown(signum: int, _frame: object) -> None:
-        # shutdown() blocks until serve_forever()'s loop notices the
-        # request, and that loop runs on this very thread — hand the
-        # call to a helper thread so the handler can return.
-        import threading
+    def ready() -> None:
+        """Report ``(shard, port)`` to the supervisor, if there is one."""
+        if ready_queue is not None:
+            ready_queue.put((shard, server.server_address[1]))
 
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _shutdown)
-    signal.signal(signal.SIGINT, _shutdown)
-    if ready_queue is not None:
-        ready_queue.put((shard, server.server_address[1]))
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-        service.close()
+    serve_until_signal(server, service.close, ready=ready)
 
 
 @dataclass
@@ -192,33 +165,33 @@ class ShardCluster:
         """The data directory of shard ``shard``."""
         return self.data_dir / f"shard-{shard:03d}"
 
+    def _spawn(self, shard: int, ready) -> multiprocessing.Process:
+        """Start worker ``shard``; it reports ``(shard, port)`` on ``ready``."""
+        process = multiprocessing.get_context().Process(
+            target=run_worker,
+            args=(shard, self.shard_dir(shard)),
+            kwargs={
+                "host": self.host,
+                "port": 0 if self.base_port == 0 else self.base_port + shard,
+                "dim": self.dim,
+                "metric": self.metric,
+                "mbi_config": self.mbi_config,
+                "service_config": self.service_config,
+                "ready_queue": ready,
+            },
+            daemon=True,
+        )
+        process.start()
+        return process
+
     def start(self, timeout: float = 60.0) -> list[WorkerHandle]:
         """Spawn every worker and wait until all report ready.
 
         Raises ``TimeoutError`` (after terminating the stragglers) when
         a worker fails to bind within ``timeout`` seconds.
         """
-        context = multiprocessing.get_context()
-        ready: multiprocessing.Queue = context.Queue()
-        processes = []
-        for shard in range(self.n_shards):
-            port = 0 if self.base_port == 0 else self.base_port + shard
-            process = context.Process(
-                target=run_worker,
-                args=(shard, self.shard_dir(shard)),
-                kwargs={
-                    "host": self.host,
-                    "port": port,
-                    "dim": self.dim,
-                    "metric": self.metric,
-                    "mbi_config": self.mbi_config,
-                    "service_config": self.service_config,
-                    "ready_queue": ready,
-                },
-                daemon=True,
-            )
-            process.start()
-            processes.append(process)
+        ready: multiprocessing.Queue = multiprocessing.get_context().Queue()
+        processes = [self._spawn(shard, ready) for shard in range(self.n_shards)]
         ports: dict[int, int] = {}
         try:
             while len(ports) < self.n_shards:
@@ -273,24 +246,8 @@ class ShardCluster:
         callers must rebuild transports (the router re-attaches).
         """
         self.kill(shard)
-        context = multiprocessing.get_context()
-        ready: multiprocessing.Queue = context.Queue()
-        port = 0 if self.base_port == 0 else self.base_port + shard
-        process = context.Process(
-            target=run_worker,
-            args=(shard, self.shard_dir(shard)),
-            kwargs={
-                "host": self.host,
-                "port": port,
-                "dim": self.dim,
-                "metric": self.metric,
-                "mbi_config": self.mbi_config,
-                "service_config": self.service_config,
-                "ready_queue": ready,
-            },
-            daemon=True,
-        )
-        process.start()
+        ready: multiprocessing.Queue = multiprocessing.get_context().Queue()
+        process = self._spawn(shard, ready)
         shard_id, bound_port = ready.get(timeout=timeout)
         handle = WorkerHandle(
             shard=shard_id,

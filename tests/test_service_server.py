@@ -1,8 +1,18 @@
-"""In-process tests of the stdlib HTTP frontend (`repro serve`)."""
+"""In-process tests of the stdlib HTTP frontends (`repro serve`).
+
+``TestEndpoints`` runs against the single-service frontend;
+``TestRouterEndpoints`` inherits every case and reruns it against the
+router frontend over a 2-shard in-process cluster, overriding the few
+whose payload differs and adding the router-only ones.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
+import re
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -11,8 +21,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import MBIConfig, SearchParams
+from repro.faultinject import get_failpoints
 from repro.graph.builder import GraphConfig
 from repro.service import IndexService, ServiceConfig, make_server
+from repro.sharding import ShardRouter, make_router_server
 
 DIM = 6
 
@@ -26,6 +38,26 @@ def fast_config() -> MBIConfig:
     )
 
 
+@contextlib.contextmanager
+def running(server):
+    """Serve ``server`` on a thread; yield its base URL."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+def ingest_stream(target) -> None:
+    rng = np.random.default_rng(0)
+    for i in range(80):
+        target.ingest(rng.standard_normal(DIM), float(i))
+
+
 @pytest.fixture()
 def served(tmp_path):
     svc = IndexService.open(
@@ -34,17 +66,9 @@ def served(tmp_path):
         mbi_config=fast_config(),
         config=ServiceConfig(fsync="never"),
     )
-    rng = np.random.default_rng(0)
-    for i in range(80):
-        svc.ingest(rng.standard_normal(DIM), float(i))
-    server = make_server(svc, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield svc, f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
+    ingest_stream(svc)
+    with running(make_server(svc, port=0)) as base:
+        yield svc, base
     svc.close()
 
 
@@ -62,6 +86,17 @@ def post(url: str, payload: dict):
     )
     with urllib.request.urlopen(request, timeout=10) as response:
         return response.status, json.loads(response.read())
+
+
+def raw_exchange(base: str, request: bytes) -> bytes:
+    """Send raw bytes on one connection; return everything until EOF."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 class TestEndpoints:
@@ -116,7 +151,7 @@ class TestEndpoints:
         )
         assert status == 200
         assert body["positions"] == [81, 83]
-        assert svc.applied_records == 83
+        assert json.loads(get(base + "/healthz")[1])["records"] == 83
 
     def test_checkpoint_endpoint(self, served):
         svc, base = served
@@ -160,3 +195,97 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post(base + "/query", {"query": [0.0] * DIM, "k": 1})
         assert excinfo.value.code == 503
+
+    @pytest.mark.parametrize("path", ["/debug/slow", "/debug/trace/recent"])
+    def test_debug_buffers_reject_negative_n(self, served, path):
+        _, base = served
+        status, body = get(base + path + "?n=2")
+        assert status == 200
+        assert "records" in json.loads(body)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get(base + path + "?n=-1")
+        assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length", ["99999999999", "-5", "abc"])
+    def test_rejected_body_closes_the_connection(self, served, length):
+        # Left open, the connection would parse the unread body as the
+        # next request and send a second, unsolicited response.
+        _, base = served
+        data = raw_exchange(
+            base,
+            b"POST /query HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            b"GARBAGE LINE\r\n\r\n",
+        )
+        head, _, rest = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        assert "error" in json.loads(rest[:length])
+        assert rest[length:] == b""  # one reply, then EOF
+
+    def test_request_failpoint_raise_is_500(self, served):
+        _, base = served
+        with get_failpoints().scope({"server.request": "raise"}):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get(base + "/healthz")
+            assert excinfo.value.code == 500
+            assert get(base + "/healthz")[0] == 200
+
+    def test_request_failpoint_drop_closes_without_reply(self, served):
+        _, base = served
+        host, port = base.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            with get_failpoints().scope({"server.request": "drop"}):
+                conn.request("GET", "/healthz")
+                with pytest.raises(http.client.RemoteDisconnected):
+                    conn.getresponse()
+        finally:
+            conn.close()
+
+
+class TestRouterEndpoints(TestEndpoints):
+    """The same cases against ``make_router_server`` over 2 shards."""
+
+    @pytest.fixture()
+    def served(self, tmp_path):
+        router = ShardRouter.open(
+            tmp_path / "data",
+            n_shards=2,
+            dim=DIM,
+            mbi_config=fast_config(),
+            service_config=ServiceConfig(fsync="never"),
+        )
+        ingest_stream(router)
+        with running(make_router_server(router, port=0)) as base:
+            yield router, base
+        router.close()
+
+    def test_checkpoint_endpoint(self, served):
+        _, base = served
+        assert post(base + "/checkpoint", {}) == (200, {"checkpointed": 2})
+
+    def test_draining_service_reports_503(self, served):
+        router, base = served
+        router.drain(0)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base + "/query", {"query": [0.0] * DIM, "k": 1})
+        assert excinfo.value.code == 503
+        assert json.loads(excinfo.value.read())["shard"] == 0
+
+    def test_query_reports_shards(self, served):
+        _, base = served
+        status, body = post(base + "/query", {"query": [0.1] * DIM, "k": 4})
+        assert status == 200
+        assert body["partial"] is False
+        assert sorted(body["queried_shards"]) == [0, 1]
+        assert body["pruned_shards"] == []
+        assert body["failed_shards"] == []
+
+    def test_shard_stats(self, served):
+        _, base = served
+        status, body = get(base + "/shard/stats")
+        stats = json.loads(body)
+        assert status == 200
+        assert stats["n_shards"] == 2
+        assert stats["records"] == 80
