@@ -20,7 +20,7 @@ from ..observability.metrics import get_registry
 from ..storage.timeline import TimeWindow
 from ..storage.vector_store import VectorStore
 from ..core.brute import brute_force_topk
-from ..core.results import QueryResult, QueryStats
+from ..core.results import QueryResult, QueryStats, check_query
 
 _METRICS = get_registry()
 _QUERIES = _METRICS.counter(
@@ -89,19 +89,14 @@ class BSBFIndex:
 
         Raises:
             EmptyIndexError: If the index holds no vectors.
-            InvalidQueryError: If ``k < 1``, the window is inverted, or the
-                query dimension is wrong.
+            InvalidQueryError: If ``k`` is not an integer ``>= 1``, the
+                window is inverted, or the query is not a finite vector of
+                the index's dimension.
         """
         query = np.asarray(query, dtype=np.float64)
         if len(self._store) == 0:
             raise EmptyIndexError("cannot search an empty index")
-        if k < 1:
-            raise InvalidQueryError(f"k must be >= 1, got {k}")
-        if query.ndim != 1 or query.shape[0] != self.dim:
-            raise InvalidQueryError(
-                f"query must be a vector of dimension {self.dim}, "
-                f"got shape {query.shape}"
-            )
+        check_query(query, k, self.dim)
         window = TimeWindow(float(t_start), float(t_end))
         positions = self._store.resolve_window(window)
         found_positions, found_dists = brute_force_topk(

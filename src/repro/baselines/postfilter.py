@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import SearchParams
-from ..core.results import QueryResult, QueryStats
+from ..core.results import QueryResult, QueryStats, check_query
 from ..distances.metrics import Metric
 from ..exceptions import ConfigurationError
 from ..graph.builder import GraphConfig
@@ -125,7 +125,7 @@ class PostFilterIndex(SFIndex):
         )
 
     def _validate(self, query: np.ndarray, k: int) -> None:
-        from ..exceptions import EmptyIndexError, InvalidQueryError
+        from ..exceptions import EmptyIndexError
 
         if len(self._store) == 0:
             raise EmptyIndexError("cannot search an empty index")
@@ -133,10 +133,4 @@ class PostFilterIndex(SFIndex):
             raise EmptyIndexError(
                 "post-filter graph not built; call build() first"
             )
-        if k < 1:
-            raise InvalidQueryError(f"k must be >= 1, got {k}")
-        if query.ndim != 1 or query.shape[0] != self.dim:
-            raise InvalidQueryError(
-                f"query must be a vector of dimension {self.dim}, "
-                f"got shape {query.shape}"
-            )
+        check_query(query, k, self.dim)

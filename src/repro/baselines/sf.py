@@ -29,7 +29,7 @@ from ..observability.metrics import get_registry
 from ..storage.timeline import TimeWindow
 from ..storage.vector_store import VectorStore
 from ..core.config import SearchParams
-from ..core.results import QueryResult, QueryStats
+from ..core.results import QueryResult, QueryStats, check_query
 
 _METRICS = get_registry()
 _QUERIES = _METRICS.counter(
@@ -170,13 +170,7 @@ class SFIndex:
             raise EmptyIndexError("cannot search an empty index")
         if self._graph is None:
             raise EmptyIndexError("SF graph not built; call build() first")
-        if k < 1:
-            raise InvalidQueryError(f"k must be >= 1, got {k}")
-        if query.ndim != 1 or query.shape[0] != self.dim:
-            raise InvalidQueryError(
-                f"query must be a vector of dimension {self.dim}, "
-                f"got shape {query.shape}"
-            )
+        check_query(query, k, self.dim)
         if params is None:
             params = self._search_params
         if rng is None:

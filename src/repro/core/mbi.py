@@ -47,8 +47,8 @@ from .backends import GraphBackend, get_builder
 from .block import Block
 from .brute import brute_force_topk
 from .config import MBIConfig, SearchParams, TieringConfig
-from .planner import BRUTE, GRAPH, PlanStep, plan, runs, scan_us
-from .results import QueryResult, QueryStats, merge_partial_results
+from .planner import BRUTE, GRAPH, PlanStep, plan, runs, scan_us, walkable
+from .results import QueryResult, QueryStats, check_query, merge_partial_results
 from .selection import select_blocks
 from .tree import leaf_block_index, leaf_range_of
 
@@ -121,15 +121,6 @@ class MultiLevelBlockIndex:
         # built blocks own their *own* snapshot caches (see GraphBackend).
         self._scan = StoreNormCache(self._store, self._metric)
         self._blocks: dict[int, Block] = {}
-        # One-slot memo for block selection: serving workloads ask many
-        # queries over the same window, and the selection walk is pure
-        # Python recursion.  The key captures everything selection reads —
-        # the window (which also determines time-mode ratios), tau, and the
-        # store length (the materialised block set and per-block fill are a
-        # pure function of the insert count; timestamps are append-only).
-        self._selection_cache: (
-            tuple[tuple[float, float, float, int], list[Block]] | None
-        ) = None
         self._rng = np.random.default_rng(self._config.seed)
         self._total_build_seconds = 0.0
         self._total_distance_evaluations = 0
@@ -455,38 +446,6 @@ class MultiLevelBlockIndex:
 
     # ---------------------------------------------------------------- queries
 
-    def _select_blocks_cached(
-        self,
-        window: TimeWindow,
-        tau: float,
-        positions: range,
-        trace: QueryTrace | None,
-    ) -> list[Block]:
-        """Block selection with a one-slot memo on (window, tau, store size).
-
-        Traced queries always re-run the walk (the trace records one event
-        per visited node) but still refresh the memo, so an ``explain``
-        never serves or produces stale selections.  Callers must treat the
-        returned list as read-only — cache hits alias it.
-        """
-        key = (window.start, window.end, tau, len(self._store))
-        cached = self._selection_cache
-        if trace is None and cached is not None and cached[0] == key:
-            return cached[1]
-        selected = select_blocks(
-            self._blocks,
-            len(self._store),
-            self._config.leaf_size,
-            tau,
-            positions,
-            mode=self._config.selection_mode,
-            query_window=window,
-            timestamps=self._store.timestamps,
-            trace=trace,
-        )
-        self._selection_cache = (key, selected)
-        return selected
-
     def search(
         self,
         query: np.ndarray,
@@ -508,7 +467,10 @@ class MultiLevelBlockIndex:
         :func:`repro.core.planner.plan`), answers the plan with one
         coalesced scan per run of adjacent scanned blocks and one graph
         search per remaining block, and merges the partial results into
-        the final top-``k``.
+        the final top-``k``.  An untraced query with no pinned threshold and
+        no tiering, none of whose sealed blocks is
+        :func:`~repro.core.planner.walkable`, skips planning and issues the
+        plan's one scan of the window directly.
 
         One seed per selected block is drawn from ``rng`` before any block
         runs, and the merge is a stable sort on ``(distance, position)``, so
@@ -536,8 +498,9 @@ class MultiLevelBlockIndex:
 
         Raises:
             EmptyIndexError: If the index holds no vectors.
-            InvalidQueryError: If ``k < 1``, the window is inverted, or the
-                query dimension is wrong.
+            InvalidQueryError: If ``k`` is not an integer ``>= 1``, the
+                window is inverted, or the query is not a finite vector of
+                the index's dimension.
         """
         query = np.asarray(query, dtype=np.float64)
         self._validate_query(query, k)
@@ -570,35 +533,73 @@ class MultiLevelBlockIndex:
                 trace.seconds = time.perf_counter() - started
             return QueryResult.empty(QueryStats())
 
-        selected = self._select_blocks_cached(
-            window, effective_tau, positions, trace
+        filled = len(self._store)
+        selected = select_blocks(
+            self._blocks,
+            filled,
+            self._config.leaf_size,
+            effective_tau,
+            positions,
+            mode=self._config.selection_mode,
+            query_window=window,
+            timestamps=self._store.timestamps,
+            trace=trace,
         )
-        steps = plan(selected, positions, params, self.dim, len(self._store))
-        if self._tiering is not None:
-            # Pin the window's blocks against eviction and (optionally)
-            # promote the cold ones the plan will graph-search.
-            self._tiering.note_selection(steps)
-        block_seeds = rng.integers(0, 2**63 - 1, size=len(selected))
-        partials: list[tuple[np.ndarray, np.ndarray]] = []
-        stats = QueryStats(window_size=positions.stop - positions.start)
-        for run in runs(steps):
-            if steps[run.start].strategy == BRUTE:
-                found, run_stats = self._scan_steps(
-                    steps[run.start : run.stop], query, k, trace=trace, t0=started
-                )
-            else:
-                found, run_stats = self._search_block(
-                    steps[run.start],
-                    query,
-                    k,
-                    params,
-                    np.random.default_rng(int(block_seeds[run.start])),
-                    trace=trace,
-                    t0=started,
-                )
-            partials.append(found)
-            stats = stats.merged_with(run_stats)
-        merged_positions, merged_dists = merge_partial_results(partials, k)
+        if (
+            trace is None
+            and params.brute_force_threshold is None
+            and self._tiering is None
+            and not any(
+                walkable(block.capacity, self.dim)
+                for block in selected
+                if block.positions.stop <= filled
+            )
+        ):
+            # No selected block can plan a walk, so the plan is one
+            # coalesced scan of the window: issue it without planning.
+            # The blocks' seeds are still drawn, one scalar draw each (the
+            # same stream as one array draw, at a third of the cost), so
+            # ``rng`` ends where a planned query leaves it.
+            for _ in selected:
+                rng.integers(0, 2**63 - 1)
+            found = brute_force_topk(
+                self._store, self._metric, query, k, positions, norms=self._scan
+            )
+            merged_positions, merged_dists = merge_partial_results([found], k)
+            span = positions.stop - positions.start
+            stats = QueryStats(
+                blocks_searched=len(selected),
+                distance_evaluations=span,
+                window_size=span,
+            )
+        else:
+            steps = plan(selected, positions, params, self.dim, filled)
+            if self._tiering is not None:
+                # Pin the window's blocks against eviction and (optionally)
+                # promote the cold ones the plan will graph-search.
+                self._tiering.note_selection(steps)
+            block_seeds = rng.integers(0, 2**63 - 1, size=len(selected))
+            partials: list[tuple[np.ndarray, np.ndarray]] = []
+            stats = QueryStats(window_size=positions.stop - positions.start)
+            for run in runs(steps):
+                if steps[run.start].strategy == BRUTE:
+                    found, run_stats = self._scan_steps(
+                        steps[run.start : run.stop], query, k,
+                        trace=trace, t0=started,
+                    )
+                else:
+                    found, run_stats = self._search_block(
+                        steps[run.start],
+                        query,
+                        k,
+                        params,
+                        np.random.default_rng(int(block_seeds[run.start])),
+                        trace=trace,
+                        t0=started,
+                    )
+                partials.append(found)
+                stats = stats.merged_with(run_stats)
+            merged_positions, merged_dists = merge_partial_results(partials, k)
 
         _SEARCH_QUERIES.inc()
         _SEARCH_BLOCKS.inc(stats.blocks_searched)
@@ -881,10 +882,4 @@ class MultiLevelBlockIndex:
     def _validate_query(self, query: np.ndarray, k: int) -> None:
         if len(self._store) == 0:
             raise EmptyIndexError("cannot search an empty index")
-        if k < 1:
-            raise InvalidQueryError(f"k must be >= 1, got {k}")
-        if query.ndim != 1 or query.shape[0] != self.dim:
-            raise InvalidQueryError(
-                f"query must be a vector of dimension {self.dim}, "
-                f"got shape {query.shape}"
-            )
+        check_query(query, k, self.dim)

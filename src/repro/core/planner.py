@@ -25,6 +25,7 @@ does; ``10**9`` scans everything).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .block import Block
@@ -120,6 +121,17 @@ def graph_us(capacity: int, rows: int, dim: int) -> float:
     if rows <= 0:
         return full * FILTER_CAP
     return full * min(FILTER_CAP, 1.0 + FILTER_SLOPE * max(0.0, capacity / rows - 1.0))
+
+
+@lru_cache(maxsize=None)
+def walkable(capacity: int, dim: int) -> bool:
+    """Whether :func:`plan` can ever walk a sealed block of ``capacity`` rows.
+
+    True iff a full-span walk prices below a full scan.  A scan gets cheaper
+    as the in-window span falls and a walk dearer (the filter factor is at
+    least 1), so a block that is not walkable never plans ``graph``.
+    """
+    return graph_us(capacity, capacity, dim) < scan_us(capacity, dim)
 
 
 def plan(

@@ -26,9 +26,12 @@ and whole-query counters mutually consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..exceptions import InvalidQueryError
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,28 @@ class QueryResult:
         )
 
 
+def check_query(query: np.ndarray, k: int, dim: int) -> None:
+    """Raise :class:`~repro.exceptions.InvalidQueryError` on a malformed query.
+
+    ``k`` must be a Python or NumPy integer (not a bool) and at least 1, and
+    ``query`` a vector of dimension ``dim`` with finite components: a NaN or
+    infinite component makes every distance NaN or infinite, and the scan
+    would answer with nothing.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidQueryError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise InvalidQueryError(f"k must be >= 1, got {k}")
+    if query.ndim != 1 or query.shape[0] != dim:
+        raise InvalidQueryError(
+            f"query must be a vector of dimension {dim}, got shape {query.shape}"
+        )
+    # q·q is finite only if every component is (squares cannot cancel), so
+    # the slower exact test runs only when it is not, e.g. on overflow.
+    if not math.isfinite(query.dot(query)) and not np.isfinite(query).all():
+        raise InvalidQueryError("query contains non-finite components")
+
+
 def merge_partial_results(
     partials: list[tuple[np.ndarray, np.ndarray]], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +178,10 @@ def merge_partial_results(
     """
     if not partials:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    positions = np.concatenate([p for p, _ in partials])
-    distances = np.concatenate([d for _, d in partials])
+    if len(partials) == 1:
+        positions, distances = partials[0]
+    else:
+        positions = np.concatenate([p for p, _ in partials])
+        distances = np.concatenate([d for _, d in partials])
     order = np.lexsort((positions, distances))[:k]
     return positions[order], distances[order]

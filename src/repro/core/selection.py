@@ -5,7 +5,7 @@ classifies each block by its overlap ratio ``r_o``:
 
 * Case 1 — ``r_o = 0``: the block is skipped;
 * Case 2 — the block is a leaf, or ``r_o > tau``: the block is selected;
-* Case 3 — otherwise: recurse into both children.
+* Case 3 — otherwise: descend into both children.
 
 Virtual blocks (positions the incremental construction has not merged yet)
 have an unbounded time window, so their ratio is treated as infinitesimal
@@ -30,16 +30,10 @@ import numpy as np
 
 from ..storage.timeline import TimeWindow
 from .block import Block
+from .tree import tree_levels_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability.trace import QueryTrace
-from .tree import (
-    leaf_range_of,
-    left_child,
-    right_child,
-    root_index,
-    tree_levels_for,
-)
 
 
 def select_blocks(
@@ -79,147 +73,80 @@ def select_blocks(
     if mode == "time" and (query_window is None or timestamps is None):
         raise ValueError("time mode requires query_window and timestamps")
 
-    num_leaves = -(-n_stored // leaf_size)
-    levels = tree_levels_for(num_leaves)
-    root = root_index(levels)
+    start, stop = window_positions.start, window_positions.stop
+    count_mode = mode == "count"
     selected: list[Block] = []
-    _select(
-        root,
-        levels,
-        blocks,
-        n_stored,
-        leaf_size,
-        tau,
-        window_positions,
-        mode,
-        query_window,
-        timestamps,
-        selected,
-        trace,
-    )
+    # An explicit-stack walk over (height, first leaf ordinal) in preorder,
+    # left subtree first (the left child is pushed last): selected blocks
+    # come out in time order and trace events in tree order.
+    stack = [(tree_levels_for(-(-n_stored // leaf_size)), 0)]
+    while stack:
+        height, first_leaf = stack.pop()
+        last_leaf = first_leaf + (1 << height) - 1
+        # A block is created right after its last leaf, one index per merge:
+        # ``leaf_block_index(last_leaf) + height``.
+        index = 2 * last_leaf - last_leaf.bit_count() + height
+        capacity_lo = first_leaf * leaf_size
+        capacity_hi = (last_leaf + 1) * leaf_size
+        filled_hi = capacity_hi if capacity_hi < n_stored else n_stored
+        overlap = (stop if stop < filled_hi else filled_hi) - (
+            start if start > capacity_lo else capacity_lo
+        )
+        if overlap <= 0:
+            # Case 1, or the subtree holds no data yet.
+            if trace is not None:
+                trace.record_selection(
+                    index, height, (capacity_lo, capacity_hi), 0, math.nan,
+                    tau, "rejected",
+                    "no-data" if filled_hi <= capacity_lo else "no-overlap",
+                )
+            continue
+
+        block = blocks.get(index)
+        ratio = math.nan
+        if height == 0:
+            # Case 2 (leaf): every leaf with data is materialised.
+            assert block is not None, f"leaf block {index} missing"
+            decision, reason = "selected", "leaf"
+        elif block is None:
+            decision, reason = "descended", "virtual-block"
+        else:
+            if count_mode:
+                ratio = overlap / block.capacity
+            else:
+                ratio = _time_ratio(block, query_window, timestamps, n_stored)
+            # Case 2.  Fully covered blocks (r_o = 1) are selected even when
+            # tau = 1: recursing could only split the same work across both
+            # children.  This matches the paper's Figure 4, where tau = 1
+            # selects the fully covered internal blocks B13 and B17.
+            if ratio >= 1.0:
+                decision, reason = "selected", "fully-covered"
+            elif ratio > tau:
+                decision, reason = "selected", "ratio>tau"
+            else:
+                decision, reason = "descended", "ratio<=tau"
+        if trace is not None:
+            trace.record_selection(
+                index, height, (capacity_lo, capacity_hi), overlap, ratio,
+                tau, decision, reason,
+            )
+        if decision == "selected":
+            selected.append(block)
+        else:
+            # Case 3: virtual block, or materialised with ratio <= tau.
+            half = 1 << (height - 1)
+            stack.append((height - 1, first_leaf + half))
+            stack.append((height - 1, first_leaf))
     return selected
 
 
-def _select(
-    index: int,
-    height: int,
-    blocks: Mapping[int, Block],
-    n_stored: int,
-    leaf_size: int,
-    tau: float,
-    window: range,
-    mode: str,
-    query_window: TimeWindow | None,
-    timestamps: np.ndarray | None,
-    selected: list[Block],
-    trace: "QueryTrace | None",
-) -> None:
-    leaf_lo, leaf_hi = leaf_range_of(index, height)
-    capacity_lo = leaf_lo * leaf_size
-    capacity_hi = leaf_hi * leaf_size
-    filled_hi = min(capacity_hi, n_stored)
-    span = (capacity_lo, capacity_hi)
-    if filled_hi <= capacity_lo:
-        if trace is not None:
-            trace.record_selection(
-                index, height, span, 0, math.nan, tau, "rejected", "no-data"
-            )
-        return  # the subtree holds no data yet
-    overlap = min(window.stop, filled_hi) - max(window.start, capacity_lo)
-    if overlap <= 0:
-        if trace is not None:
-            trace.record_selection(
-                index, height, span, 0, math.nan, tau, "rejected", "no-overlap"
-            )
-        return  # Case 1
-
-    block = blocks.get(index)
-    if height == 0:
-        # Case 2 (leaf): every leaf with data is materialised.
-        assert block is not None, f"leaf block {index} missing"
-        if trace is not None:
-            trace.record_selection(
-                index, height, span, overlap, math.nan, tau, "selected", "leaf"
-            )
-        selected.append(block)
-        return
-
-    if block is not None:
-        ratio = _overlap_ratio(
-            block, overlap, window, mode, query_window, timestamps, n_stored
-        )
-        # Case 2.  Fully covered blocks (r_o = 1) are selected even when
-        # tau = 1: recursing could only split the same work across both
-        # children.  This matches the paper's Figure 4, where tau = 1
-        # selects the fully covered internal blocks B13 and B17.
-        if ratio > tau or ratio >= 1.0:
-            if trace is not None:
-                trace.record_selection(
-                    index,
-                    height,
-                    span,
-                    overlap,
-                    ratio,
-                    tau,
-                    "selected",
-                    "fully-covered" if ratio >= 1.0 else "ratio>tau",
-                )
-            selected.append(block)
-            return
-        if trace is not None:
-            trace.record_selection(
-                index, height, span, overlap, ratio, tau,
-                "descended", "ratio<=tau",
-            )
-    elif trace is not None:
-        trace.record_selection(
-            index, height, span, overlap, math.nan, tau,
-            "descended", "virtual-block",
-        )
-    # Case 3: virtual block, or materialised with ratio <= tau.
-    _select(
-        left_child(index, height),
-        height - 1,
-        blocks,
-        n_stored,
-        leaf_size,
-        tau,
-        window,
-        mode,
-        query_window,
-        timestamps,
-        selected,
-        trace,
-    )
-    _select(
-        right_child(index, height),
-        height - 1,
-        blocks,
-        n_stored,
-        leaf_size,
-        tau,
-        window,
-        mode,
-        query_window,
-        timestamps,
-        selected,
-        trace,
-    )
-
-
-def _overlap_ratio(
+def _time_ratio(
     block: Block,
-    position_overlap: int,
-    window: range,
-    mode: str,
-    query_window: TimeWindow | None,
-    timestamps: np.ndarray | None,
+    query_window: TimeWindow,
+    timestamps: np.ndarray,
     n_stored: int,
 ) -> float:
-    """The block's ``r_o`` for this query under the configured mode."""
-    if mode == "count":
-        return position_overlap / block.capacity
-    assert query_window is not None and timestamps is not None
+    """The block's ``r_o`` in ``"time"`` mode."""
     start = float(timestamps[block.positions.start])
     if block.positions.stop < n_stored:
         end = float(timestamps[block.positions.stop])

@@ -49,13 +49,12 @@ import numpy as np
 from ..core.config import MBIConfig, SearchParams
 from ..core.mbi import MultiLevelBlockIndex
 from ..core.persistence import load_index, save_index
-from ..core.results import QueryResult
+from ..core.results import QueryResult, check_query
 from ..distances.metrics import Metric
 from ..exceptions import (
     AdmissionError,
     DeadlineExceededError,
     DimensionMismatchError,
-    InvalidQueryError,
     PersistenceError,
     ServiceClosedError,
     ServiceError,
@@ -642,13 +641,7 @@ class IndexService:
                 so the error surfaces immediately, not via the future).
         """
         query = np.asarray(query, dtype=np.float64)
-        if query.ndim != 1 or query.shape[0] != self._index.dim:
-            raise InvalidQueryError(
-                f"query must be a vector of dimension {self._index.dim}, "
-                f"got shape {query.shape}"
-            )
-        if k < 1:
-            raise InvalidQueryError(f"k must be >= 1, got {k}")
+        check_query(query, k, self._index.dim)
         if timeout is None:
             timeout = self._config.default_timeout
         request = QueryRequest(

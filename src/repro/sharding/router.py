@@ -43,6 +43,7 @@ from ..core.shardmap import ShardPlan, prune_shards
 from ..exceptions import (
     ConfigurationError,
     DimensionMismatchError,
+    InvalidQueryError,
     ShardUnavailableError,
     TimestampOrderError,
 )
@@ -506,6 +507,8 @@ class ShardRouter:
         if queries.shape[1] != self.dim:
             # The client's fault, not the shards': never scatter it.
             raise DimensionMismatchError(self.dim, queries.shape[1])
+        if not np.isfinite(queries).all():
+            raise InvalidQueryError("query contains non-finite components")
         if allow_partial is None:
             allow_partial = self.config.allow_partial
         if seed is None:

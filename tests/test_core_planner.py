@@ -19,8 +19,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MBIConfig, MultiLevelBlockIndex, SearchParams, get_registry
+from repro.core import mbi as mbi_module
 from repro.core import planner
 from repro.core.block import Block
 from repro.core.brute import brute_force_topk
@@ -257,3 +260,105 @@ class TestTiering:
             np.testing.assert_array_equal(got.positions, want.positions)
             assert got.distances.tobytes() == want.distances.tobytes()
         assert registry.snapshot()["tier_promotions_total"] == before
+
+
+class TestWalkable:
+    @given(
+        leaf=st.integers(1, 1000),
+        height=st.integers(0, 8),
+        dim=st.sampled_from((16, 64, 128, 960)),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_walkable_agrees_with_plan(self, leaf, height, dim, data):
+        capacity = leaf << height
+        span = data.draw(st.integers(0, capacity))
+        block = _full_block(capacity)
+        (step,) = planner.plan([block], range(span), SearchParams(), dim, capacity)
+        if not planner.walkable(capacity, dim):
+            assert step.strategy == planner.BRUTE
+        (full,) = planner.plan([block], range(capacity), SearchParams(), dim, capacity)
+        assert (full.strategy == planner.GRAPH) == planner.walkable(capacity, dim)
+
+    def test_benchmark_scale_blocks_are_not_walkable(self):
+        # leaf 500, dim 64: the smallest walkable block holds 16 000 rows.
+        assert not any(planner.walkable(500 << h, 64) for h in range(5))
+        assert planner.walkable(16_000, 64)
+
+
+def _draws(rng: np.random.Generator) -> list[int]:
+    return rng.integers(0, 2**63 - 1, size=4).tolist()
+
+
+class TestAllScanShortcut:
+    @given(
+        query=st.integers(0, 19),
+        t_start=st.floats(-5.0, 100.0),
+        length=st.floats(0.0, 110.0),
+        tau=st.sampled_from((None, 0.05, 0.5, 0.95, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_search_equals_the_planned_path(
+        self, planned_index, clustered_data, query, t_start, length, tau, seed
+    ):
+        # ``explain`` is traced, so it always plans; an untraced ``search``
+        # of this index never does (no block is walkable at 1 600 rows).
+        q = clustered_data[2][query]
+        t_end = t_start + length
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = planned_index.explain(q, 10, t_start, t_end, rng=want_rng, tau=tau)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mbi_module, "plan", None)  # any planning call fails
+            got = planned_index.search(q, 10, t_start, t_end, rng=got_rng, tau=tau)
+        assert tuple(got.positions.tolist()) == want.result_positions
+        assert tuple(got.distances.tolist()) == want.result_distances
+        assert got.stats == want.stats
+        assert _draws(got_rng) == _draws(want_rng)
+
+    def test_shortcut_scan_is_the_one_brute_force_call(
+        self, planned_index, clustered_data, monkeypatch
+    ):
+        calls = []
+        scan = mbi_module.brute_force_topk
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(mbi_module, "brute_force_topk", counted)
+        result = planned_index.search(clustered_data[2][0], 10, 3.0, 97.0, tau=0.95)
+        (rows,) = calls
+        assert result.stats.window_size == len(rows)
+        assert result.stats.blocks_searched >= 2
+
+    def test_pinned_threshold_and_walkable_blocks_plan(
+        self, planned_index, clustered_data, monkeypatch
+    ):
+        q = clustered_data[2][0]
+        planned = []
+        real_plan = mbi_module.plan
+
+        def recording(*args, **kwargs):
+            planned.append(args)
+            return real_plan(*args, **kwargs)
+
+        monkeypatch.setattr(mbi_module, "plan", recording)
+        planned_index.search(q, 10, 3.0, 97.0)
+        assert planned == []
+        planned_index.search(q, 10, 3.0, 97.0, params=SearchParams(brute_force_threshold=64))
+        assert len(planned) == 1
+        monkeypatch.setattr(mbi_module, "walkable", lambda capacity, dim: capacity >= 800)
+        planned_index.search(q, 10, 3.0, 97.0)
+        assert len(planned) == 2
+
+    def test_tiered_index_plans(self, monkeypatch, tmp_path):
+        index = _deferred_index(64, 4, 16)
+        index.enable_tiering(memory_budget_mb=1e-4, directory=tmp_path / "tiers")
+        planned = []
+        real_plan = mbi_module.plan
+        monkeypatch.setattr(
+            mbi_module, "plan", lambda *a: planned.append(a) or real_plan(*a)
+        )
+        index.search(np.zeros(4), 5, 3.0, 60.0)
+        assert len(planned) == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,15 @@ from hypothesis import strategies as st
 
 from repro.core.block import Block
 from repro.core.selection import select_blocks
-from repro.core.tree import leaf_block_index, leaf_range_of
+from repro.core.tree import (
+    leaf_block_index,
+    leaf_range_of,
+    left_child,
+    right_child,
+    root_index,
+    tree_levels_for,
+)
+from repro.observability import QueryTrace
 from repro.storage import TimeWindow
 
 
@@ -209,3 +219,151 @@ class TestTimeMode:
                 range(block.positions.start, min(block.positions.stop, n))
             )
         assert set(window_positions) <= covered
+
+
+# The recursive walk ``select_blocks`` ran before it became an explicit-stack
+# loop, kept verbatim as the reference the loop must reproduce: same blocks,
+# same traced events in the same order.
+def _reference_select_blocks(
+    blocks, n_stored, leaf_size, tau, window_positions, mode="count",
+    query_window=None, timestamps=None, trace=None,
+):
+    if n_stored == 0 or window_positions.start >= window_positions.stop:
+        return []
+    num_leaves = -(-n_stored // leaf_size)
+    levels = tree_levels_for(num_leaves)
+    selected = []
+    _select(
+        root_index(levels), levels, blocks, n_stored, leaf_size, tau,
+        window_positions, mode, query_window, timestamps, selected, trace,
+    )
+    return selected
+
+
+def _select(
+    index, height, blocks, n_stored, leaf_size, tau, window, mode,
+    query_window, timestamps, selected, trace,
+):
+    leaf_lo, leaf_hi = leaf_range_of(index, height)
+    capacity_lo = leaf_lo * leaf_size
+    capacity_hi = leaf_hi * leaf_size
+    filled_hi = min(capacity_hi, n_stored)
+    span = (capacity_lo, capacity_hi)
+    if filled_hi <= capacity_lo:
+        if trace is not None:
+            trace.record_selection(
+                index, height, span, 0, math.nan, tau, "rejected", "no-data"
+            )
+        return
+    overlap = min(window.stop, filled_hi) - max(window.start, capacity_lo)
+    if overlap <= 0:
+        if trace is not None:
+            trace.record_selection(
+                index, height, span, 0, math.nan, tau, "rejected", "no-overlap"
+            )
+        return
+
+    block = blocks.get(index)
+    if height == 0:
+        assert block is not None, f"leaf block {index} missing"
+        if trace is not None:
+            trace.record_selection(
+                index, height, span, overlap, math.nan, tau, "selected", "leaf"
+            )
+        selected.append(block)
+        return
+
+    if block is not None:
+        ratio = _overlap_ratio(
+            block, overlap, window, mode, query_window, timestamps, n_stored
+        )
+        if ratio > tau or ratio >= 1.0:
+            if trace is not None:
+                trace.record_selection(
+                    index, height, span, overlap, ratio, tau, "selected",
+                    "fully-covered" if ratio >= 1.0 else "ratio>tau",
+                )
+            selected.append(block)
+            return
+        if trace is not None:
+            trace.record_selection(
+                index, height, span, overlap, ratio, tau,
+                "descended", "ratio<=tau",
+            )
+    elif trace is not None:
+        trace.record_selection(
+            index, height, span, overlap, math.nan, tau,
+            "descended", "virtual-block",
+        )
+    for child in (left_child(index, height), right_child(index, height)):
+        _select(
+            child, height - 1, blocks, n_stored, leaf_size, tau, window, mode,
+            query_window, timestamps, selected, trace,
+        )
+
+
+def _overlap_ratio(
+    block, position_overlap, window, mode, query_window, timestamps, n_stored
+):
+    if mode == "count":
+        return position_overlap / block.capacity
+    start = float(timestamps[block.positions.start])
+    if block.positions.stop < n_stored:
+        end = float(timestamps[block.positions.stop])
+    else:
+        end = float(np.nextafter(timestamps[n_stored - 1], np.inf))
+    return query_window.overlap_ratio(TimeWindow(start, end))
+
+
+def _events(trace):
+    """The trace's selection events, NaN ratios made comparable."""
+    return [
+        (e.block_index, e.height, e.positions, e.overlap,
+         None if math.isnan(e.ratio) else e.ratio, e.tau, e.decision, e.reason)
+        for e in trace.selection
+    ]
+
+
+class TestIterativeWalkMatchesRecursiveReference:
+    @given(
+        st.integers(1, 40),              # leaves touched by the store
+        st.integers(1, 32),              # leaf size
+        st.booleans(),                   # one row past a leaf boundary, chain unsealed
+        st.sampled_from(["count", "time"]),
+        st.floats(0.0, 1.0),             # tau
+        st.integers(0, 2**32 - 1),       # timestamp gaps and window
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_blocks_and_same_trace(
+        self, leaves, leaf, unsealed, mode, tau, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if unsealed:
+            # The row that opens leaf ``leaves`` has landed, but the merge
+            # chain of the leaf it sealed is not materialised yet: a query
+            # racing the insert sees those ancestors as virtual blocks.
+            n = leaves * leaf + 1
+            blocks = make_blocks(leaves * leaf, leaf)
+            sealed = leaf_block_index(leaves - 1)
+            for height in range(1, (leaves & -leaves).bit_length()):
+                del blocks[sealed + height]
+            index = leaf_block_index(leaves)
+            blocks[index] = Block(index, 0, range(leaves * leaf, (leaves + 1) * leaf))
+        else:
+            n = int(rng.integers(max(1, (leaves - 1) * leaf + 1), leaves * leaf + 1))
+            blocks = make_blocks(n, leaf)
+        start = int(rng.integers(0, n))
+        window = range(start, int(rng.integers(start + 1, n + 1)))
+        timestamps = np.cumsum(rng.exponential(1.0, n))
+        query_window = TimeWindow(
+            float(timestamps[window.start]),
+            float(np.nextafter(timestamps[window.stop - 1], np.inf)),
+        )
+        args = (blocks, n, leaf, tau, window, mode, query_window, timestamps)
+        want_trace, got_trace = QueryTrace(), QueryTrace()
+        want = _reference_select_blocks(*args, trace=want_trace)
+        got = select_blocks(*args, trace=got_trace)
+        assert [b.index for b in got] == [b.index for b in want]
+        assert all(g is w for g, w in zip(got, want))
+        assert _events(got_trace) == _events(want_trace)
+        assert [b.index for b in select_blocks(*args)] == [b.index for b in want]
