@@ -533,7 +533,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from .core.config import MBIConfig
     from .datasets.synthetic import SyntheticSpec, generate
     from .graph.builder import GraphConfig
-    from .observability.metrics import get_registry
+    from .observability.metrics import get_registry, render_prometheus
 
     if args.dataset is not None:
         profile = get_profile(args.dataset)
@@ -589,7 +589,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.metrics:
         print()
         print("process metrics registry:")
-        print(get_registry().render())
+        print(render_prometheus(get_registry().export_state()), end="")
     return 0
 
 
@@ -981,12 +981,15 @@ def _cmd_tier(args: argparse.Namespace) -> int:
 
 def _cmd_slow(args: argparse.Namespace) -> int:
     """``repro slow``: render a server's captured traces over HTTP."""
-    from .observability.telemetry import record_from_wire
+    from .observability.telemetry import TraceRecord
+    from .observability.tracing import from_wire
 
     base = args.url.rstrip("/")
     path = "/debug/trace/recent" if args.recent else "/debug/slow"
     payload = _fetch_json(f"{base}{path}?n={max(1, args.n)}")
-    records = [record_from_wire(raw) for raw in payload.get("records", [])]
+    records = [
+        from_wire(TraceRecord, raw) for raw in payload.get("records", [])
+    ]
     label = "sampled traces" if args.recent else "slow queries"
     if not records:
         print(f"no {label} captured at {base}{path}")

@@ -7,14 +7,15 @@ Four complementary views of the work the library does:
   counters.  Opt-in per query; the untraced path allocates nothing.
 * :mod:`repro.observability.metrics` — :class:`MetricsRegistry`, cheap
   always-on counters/gauges/histograms every subsystem reports into, with
-  Prometheus text rendering and a JSON-safe export for cross-process
-  scraping.
+  one JSON-safe state format (``export_state``) that restores, renders as
+  Prometheus text, and merges across processes (:func:`aggregate_states`).
 * :mod:`repro.observability.tracing` — distributed trace propagation:
   :class:`TraceContext` injected through shard transports, per-hop
-  :class:`Span` objects, and the router-assembled :class:`StitchedTrace`.
+  :class:`Span` objects, the router-assembled :class:`StitchedTrace`, and
+  the one wire codec for every telemetry type (:func:`to_wire` /
+  :func:`from_wire`).
 * :mod:`repro.observability.telemetry` — always-on sampled tracing
-  (:class:`TraceSampler` + :class:`TraceBuffer`), the slow-query log, and
-  fleet metrics aggregation (:func:`aggregate_states`).
+  (:class:`TraceSampler` + :class:`TraceBuffer`) and the slow-query log.
 
 See ``docs/observability.md`` for the trace schema, the metric naming
 convention, sampler configuration, and a ``repro explain`` walkthrough.
@@ -26,6 +27,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    aggregate_states,
     get_registry,
     quantile_from_buckets,
     render_prometheus,
@@ -36,11 +38,8 @@ from .telemetry import (
     TraceBuffer,
     TraceRecord,
     TraceSampler,
-    aggregate_states,
     configure_telemetry,
     get_telemetry,
-    record_from_wire,
-    record_to_wire,
 )
 from .trace import (
     BlockSearchEvent,
@@ -56,14 +55,10 @@ from .tracing import (
     Span,
     StitchedTrace,
     TraceContext,
+    from_wire,
     mint_span_id,
     mint_trace_id,
-    span_from_wire,
-    span_to_wire,
-    stitched_from_wire,
-    stitched_to_wire,
-    trace_from_wire,
-    trace_to_wire,
+    to_wire,
 )
 
 __all__ = [
@@ -88,20 +83,14 @@ __all__ = [
     "TraceSummary",
     "aggregate_states",
     "configure_telemetry",
+    "from_wire",
     "get_registry",
     "get_telemetry",
     "merge_traces_stats",
     "mint_span_id",
     "mint_trace_id",
     "quantile_from_buckets",
-    "record_from_wire",
-    "record_to_wire",
     "render_prometheus",
-    "span_from_wire",
-    "span_to_wire",
-    "stitched_from_wire",
-    "stitched_to_wire",
     "summarize_traces",
-    "trace_from_wire",
-    "trace_to_wire",
+    "to_wire",
 ]

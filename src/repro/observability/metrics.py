@@ -31,6 +31,11 @@ Example::
 Metric objects are stable for the registry's lifetime: :meth:`~MetricsRegistry.reset`
 zeroes values in place, so references held by instrumented modules stay
 valid.  Use a fresh :class:`MetricsRegistry` for fully isolated unit tests.
+
+The registry has one state format, :meth:`~MetricsRegistry.export_state`:
+:meth:`~MetricsRegistry.restore_state` takes it back,
+:func:`render_prometheus` renders it, and :func:`aggregate_states` merges
+many of them into one fleet view.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
@@ -137,12 +142,12 @@ class Counter:
         with self._lock:
             self._value = 0.0
 
-    def _dump(self) -> float:
-        return self._value
+    def _export(self) -> dict[str, object]:
+        return {"kind": "counter", "help": self.help, "value": self._value}
 
-    def _restore(self, state: float) -> None:
+    def _restore(self, entry: Mapping[str, object]) -> None:
         with self._lock:
-            self._value = float(state)
+            self._value = float(entry["value"])
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self._value:g})"
@@ -199,20 +204,19 @@ class Gauge:
             self._value = 0.0
             self._peak = 0.0
 
-    def _dump(self) -> tuple[float, float]:
+    def _export(self) -> dict[str, object]:
         with self._lock:
-            return (self._value, self._peak)
+            return {
+                "kind": "gauge",
+                "help": self.help,
+                "value": self._value,
+                "peak": self._peak,
+            }
 
-    def _restore(self, state: tuple[float, float] | float) -> None:
-        # Pre-peak dumps were a bare float; accept both so dump_state
-        # snapshots taken before an upgrade still restore.
+    def _restore(self, entry: Mapping[str, object]) -> None:
         with self._lock:
-            if isinstance(state, tuple):
-                self._value = float(state[0])
-                self._peak = float(state[1])
-            else:
-                self._value = float(state)
-                self._peak = max(0.0, self._value)
+            self._value = float(entry["value"])
+            self._peak = float(entry["peak"])
 
     def __repr__(self) -> str:
         return f"Gauge({self.name}={self._value:g}, peak={self._peak:g})"
@@ -306,12 +310,19 @@ class Histogram:
             self._sum = 0.0
             self._count = 0
 
-    def _dump(self) -> tuple[list[int], float, int]:
+    def _export(self) -> dict[str, object]:
         with self._lock:
-            return list(self._counts), self._sum, self._count
+            return {
+                "kind": "histogram",
+                "help": self.help,
+                "bounds": list(self.bounds),
+                "counts": list(self._counts),
+                "sum": self._sum,
+                "count": self._count,
+            }
 
-    def _restore(self, state: tuple[list[int], float, int]) -> None:
-        counts, total, count = state
+    def _restore(self, entry: Mapping[str, object]) -> None:
+        counts = entry["counts"]
         if len(counts) != len(self.bounds) + 1:
             raise ValueError(
                 f"histogram {self.name} state has {len(counts)} buckets, "
@@ -319,8 +330,8 @@ class Histogram:
             )
         with self._lock:
             self._counts = list(counts)
-            self._sum = float(total)
-            self._count = int(count)
+            self._sum = float(entry["sum"])
+            self._count = int(entry["count"])
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}, count={self._count}, sum={self._sum:g})"
@@ -383,23 +394,22 @@ class MetricsRegistry:
             return self._metrics.get(name)
 
     def snapshot(self) -> dict[str, float | dict[str, float]]:
-        """Point-in-time values of every metric.
+        """Point-in-time values of every metric, read off :meth:`export_state`.
 
         Counters and gauges map to their float value; histograms map to a
         dict with ``count``, ``sum``, and ``mean``.
         """
-        with self._lock:
-            metrics = dict(self._metrics)
         out: dict[str, float | dict[str, float]] = {}
-        for name, metric in sorted(metrics.items()):
-            if isinstance(metric, Histogram):
+        for name, entry in self.export_state().items():
+            if entry["kind"] == "histogram":
+                count, total = entry["count"], entry["sum"]
                 out[name] = {
-                    "count": float(metric.count),
-                    "sum": metric.sum,
-                    "mean": metric.mean,
+                    "count": float(count),
+                    "sum": total,
+                    "mean": total / count if count else math.nan,
                 }
             else:
-                out[name] = metric.value
+                out[name] = entry["value"]
         return out
 
     def reset(self) -> None:
@@ -409,25 +419,28 @@ class MetricsRegistry:
         for metric in metrics:
             metric._reset()
 
-    def dump_state(self) -> dict[str, object]:
-        """Full restorable state of every metric (see :meth:`restore_state`).
+    def export_state(self) -> dict[str, dict[str, object]]:
+        """The registry's one state format: a JSON-safe dump of every metric.
 
-        Unlike :meth:`snapshot` (which flattens histograms to summary
-        numbers for human consumption), the returned mapping preserves
-        exact bucket counts and can be fed back to :meth:`restore_state`.
+        Each entry is self-describing — its ``kind``, ``help`` text, and
+        full state (a histogram's exact bucket counts included) in JSON
+        types only.  :meth:`restore_state` takes it back in the same
+        process, a router scrapes it from workers over HTTP and merges it
+        with :func:`aggregate_states`, and :func:`render_prometheus`
+        renders it as text.
         """
         with self._lock:
             metrics = dict(self._metrics)
-        return {name: metric._dump() for name, metric in metrics.items()}
+        return {name: metrics[name]._export() for name in sorted(metrics)}
 
-    def restore_state(self, state: dict[str, object]) -> None:
-        """Restore every metric to a :meth:`dump_state` snapshot, in place.
+    def restore_state(self, state: Mapping[str, Mapping[str, object]]) -> None:
+        """Restore every metric to an :meth:`export_state` dump, in place.
 
-        Metrics registered *after* the snapshot are reset to zero; metric
+        Metrics registered *after* the dump are reset to zero; metric
         objects themselves survive (handles cached by instrumented modules
-        stay valid).  Together with :meth:`dump_state` this is the
-        save/restore hook the shared ``_metrics_isolation`` pytest fixture
-        uses so tests stop leaking counter state across modules.
+        stay valid).  This is the save/restore hook the shared
+        ``_metrics_isolation`` pytest fixture uses so tests stop leaking
+        counter state across modules.
         """
         with self._lock:
             metrics = dict(self._metrics)
@@ -436,64 +449,6 @@ class MetricsRegistry:
                 metric._restore(state[name])
             else:
                 metric._reset()
-
-    def export_state(self) -> dict[str, dict[str, object]]:
-        """JSON-safe wire dump of every metric, for cross-process scraping.
-
-        Unlike :meth:`dump_state` (whose values are opaque Python tuples
-        meant to round-trip through :meth:`restore_state` in the same
-        process), the returned mapping is self-describing — each entry
-        carries its ``kind``, ``help`` text, and full state using only
-        JSON types — so a router can scrape worker registries over HTTP
-        and merge them with :func:`repro.observability.aggregate_states`.
-        """
-        with self._lock:
-            metrics = dict(self._metrics)
-        out: dict[str, dict[str, object]] = {}
-        for name, metric in sorted(metrics.items()):
-            if isinstance(metric, Counter):
-                out[name] = {
-                    "kind": "counter",
-                    "help": metric.help,
-                    "value": metric.value,
-                }
-            elif isinstance(metric, Gauge):
-                value, peak = metric._dump()
-                out[name] = {
-                    "kind": "gauge",
-                    "help": metric.help,
-                    "value": value,
-                    "peak": peak,
-                }
-            else:
-                counts, total, count = metric._dump()
-                out[name] = {
-                    "kind": "histogram",
-                    "help": metric.help,
-                    "bounds": list(metric.bounds),
-                    "counts": counts,
-                    "sum": total,
-                    "count": count,
-                }
-        return out
-
-    def render(self) -> str:
-        """Human-readable dump, one metric per line (histograms multi-line)."""
-        lines: list[str] = []
-        with self._lock:
-            metrics = dict(self._metrics)
-        for name, metric in sorted(metrics.items()):
-            if isinstance(metric, Histogram):
-                lines.append(
-                    f"{name}_count {metric.count}"
-                )
-                lines.append(f"{name}_sum {metric.sum:.6g}")
-                for bound, n in metric.buckets().items():
-                    label = "+inf" if math.isinf(bound) else f"{bound:g}"
-                    lines.append(f"{name}_bucket{{le={label}}} {n}")
-            else:
-                lines.append(f"{name} {metric.value:g}")
-        return "\n".join(lines)
 
 
 def _prom_float(value: float) -> str:
@@ -546,6 +501,72 @@ def render_prometheus(state: dict[str, dict[str, object]]) -> str:
         else:
             raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def aggregate_states(
+    states: Iterable[Mapping[str, Mapping[str, object]] | None],
+) -> dict[str, dict[str, object]]:
+    """Merge :meth:`MetricsRegistry.export_state` dumps into one fleet view.
+
+    Counters and gauges sum (gauge peaks too — the fleet peak of a
+    resident-bytes gauge is conservatively bounded by the sum of
+    per-process peaks).  Histograms with equal bucket bounds merge
+    bucket-wise; a histogram whose bounds disagree with the first-seen
+    layout folds its entire count into the overflow bucket rather than
+    inventing counts in buckets it never had (sum/count stay exact, only
+    the bucket shape degrades).  ``None`` entries are skipped — that is
+    the sentinel an in-process transport returns when its "worker"
+    already shares the router's registry, which keeps shared-registry
+    deployments from double counting.  Registering the same name as two
+    different kinds across states raises ValueError.
+    """
+    merged: dict[str, dict[str, object]] = {}
+    for state in states:
+        if state is None:
+            continue
+        for name, entry in state.items():
+            kind = entry["kind"]
+            current = merged.get(name)
+            if current is None:
+                copied = dict(entry)
+                if kind == "histogram":
+                    copied["bounds"] = list(entry["bounds"])
+                    copied["counts"] = list(entry["counts"])
+                merged[name] = copied
+                continue
+            if current["kind"] != kind:
+                raise ValueError(
+                    f"metric {name!r} is a {current['kind']} in one worker "
+                    f"and a {kind} in another; refusing to merge"
+                )
+            if kind == "counter":
+                current["value"] = float(current["value"]) + float(
+                    entry["value"]
+                )
+            elif kind == "gauge":
+                current["value"] = float(current["value"]) + float(
+                    entry["value"]
+                )
+                current["peak"] = float(current.get("peak", 0.0)) + float(
+                    entry.get("peak", 0.0)
+                )
+            elif kind == "histogram":
+                current["sum"] = float(current["sum"]) + float(entry["sum"])
+                current["count"] = int(current["count"]) + int(entry["count"])
+                if list(current["bounds"]) == list(entry["bounds"]):
+                    current["counts"] = [
+                        a + b
+                        for a, b in zip(current["counts"], entry["counts"])
+                    ]
+                else:
+                    # Incompatible layouts: keep the first-seen bounds and
+                    # fold the stranger's observations into +inf.
+                    current["counts"][-1] += sum(entry["counts"])
+            else:
+                raise ValueError(
+                    f"unknown metric kind {kind!r} for {name!r}"
+                )
+    return merged
 
 
 _DEFAULT_REGISTRY = MetricsRegistry()

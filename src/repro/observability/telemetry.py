@@ -1,4 +1,4 @@
-"""Always-on sampled tracing, slow-query capture, and fleet aggregation.
+"""Always-on sampled tracing and slow-query capture.
 
 The EXPLAIN machinery in :mod:`repro.observability.trace` is opt-in per
 query; production wants a *standing* trickle of traces plus a guarantee
@@ -18,9 +18,6 @@ the pieces, all zero-dependency and cheap enough to leave armed:
   :func:`get_telemetry` / :func:`configure_telemetry`.  The default
   config is fully disarmed (``sample_rate=0``, no slow threshold), so
   library use and unit tests pay nothing; serving entry points arm it.
-* :func:`aggregate_states` — merge :meth:`MetricsRegistry.export_state`
-  dumps from many workers into one fleet view (counters/gauges summed,
-  histograms merged bucket-wise) for the router's ``/metrics``.
 
 Capture policy: a query that won the sampling coin carries a full trace
 (and lands in the recent buffer, plus the slow log if over threshold); a
@@ -36,18 +33,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .metrics import get_registry
 from .trace import QueryTrace
-from .tracing import (
-    StitchedTrace,
-    mint_trace_id,
-    stitched_from_wire,
-    stitched_to_wire,
-    trace_from_wire,
-    trace_to_wire,
-)
+from .tracing import StitchedTrace, mint_trace_id
 
 __all__ = [
     "TelemetryConfig",
@@ -55,11 +44,8 @@ __all__ = [
     "TraceBuffer",
     "TraceRecord",
     "TraceSampler",
-    "aggregate_states",
     "configure_telemetry",
     "get_telemetry",
-    "record_from_wire",
-    "record_to_wire",
 ]
 
 _SAMPLED = get_registry().counter(
@@ -359,115 +345,3 @@ def configure_telemetry(config: TelemetryConfig | None) -> Telemetry:
     with _TELEMETRY_LOCK:
         _TELEMETRY = Telemetry(config)
         return _TELEMETRY
-
-
-# ------------------------------------------------------------ record codec
-
-
-def record_to_wire(record: TraceRecord) -> dict[str, object]:
-    """JSON-safe dict for one :class:`TraceRecord` (``/debug`` payloads)."""
-    return {
-        "trace_id": record.trace_id,
-        "source": record.source,
-        "seconds": record.seconds,
-        "k": record.k,
-        "t_start": record.t_start,
-        "t_end": record.t_end,
-        "slow": record.slow,
-        "sampled": record.sampled,
-        "unix_time": record.unix_time,
-        "trace": None if record.trace is None else trace_to_wire(record.trace),
-        "stitched": (
-            None
-            if record.stitched is None
-            else stitched_to_wire(record.stitched)
-        ),
-    }
-
-
-def record_from_wire(payload: Mapping[str, object]) -> TraceRecord:
-    """Reconstruct a :class:`TraceRecord` from :func:`record_to_wire`."""
-    trace = payload.get("trace")
-    stitched = payload.get("stitched")
-    return TraceRecord(
-        trace_id=str(payload["trace_id"]),
-        source=str(payload.get("source", "?")),
-        seconds=float(payload.get("seconds", 0.0)),
-        k=int(payload.get("k", 0)),
-        t_start=float(payload.get("t_start", 0.0)),
-        t_end=float(payload.get("t_end", 0.0)),
-        slow=bool(payload.get("slow", False)),
-        sampled=bool(payload.get("sampled", False)),
-        unix_time=float(payload.get("unix_time", 0.0)),
-        trace=None if trace is None else trace_from_wire(trace),
-        stitched=None if stitched is None else stitched_from_wire(stitched),
-    )
-
-
-# ------------------------------------------------------- fleet aggregation
-
-
-def aggregate_states(
-    states: Iterable[Mapping[str, Mapping[str, object]] | None],
-) -> dict[str, dict[str, object]]:
-    """Merge :meth:`MetricsRegistry.export_state` dumps into one fleet view.
-
-    Counters and gauges sum (gauge peaks too — the fleet peak of a
-    resident-bytes gauge is conservatively bounded by the sum of
-    per-process peaks).  Histograms with equal bucket bounds merge
-    bucket-wise; a histogram whose bounds disagree with the first-seen
-    layout folds its entire count into the overflow bucket rather than
-    inventing counts in buckets it never had (sum/count stay exact, only
-    the bucket shape degrades).  ``None`` entries are skipped — that is
-    the sentinel an in-process transport returns when its "worker"
-    already shares the router's registry, which keeps shared-registry
-    deployments from double counting.  Registering the same name as two
-    different kinds across states raises ValueError.
-    """
-    merged: dict[str, dict[str, object]] = {}
-    for state in states:
-        if state is None:
-            continue
-        for name, entry in state.items():
-            kind = entry["kind"]
-            current = merged.get(name)
-            if current is None:
-                copied = dict(entry)
-                if kind == "histogram":
-                    copied["bounds"] = list(entry["bounds"])
-                    copied["counts"] = list(entry["counts"])
-                merged[name] = copied
-                continue
-            if current["kind"] != kind:
-                raise ValueError(
-                    f"metric {name!r} is a {current['kind']} in one worker "
-                    f"and a {kind} in another; refusing to merge"
-                )
-            if kind == "counter":
-                current["value"] = float(current["value"]) + float(
-                    entry["value"]
-                )
-            elif kind == "gauge":
-                current["value"] = float(current["value"]) + float(
-                    entry["value"]
-                )
-                current["peak"] = float(current.get("peak", 0.0)) + float(
-                    entry.get("peak", 0.0)
-                )
-            elif kind == "histogram":
-                current["sum"] = float(current["sum"]) + float(entry["sum"])
-                current["count"] = int(current["count"]) + int(entry["count"])
-                if list(current["bounds"]) == list(entry["bounds"]):
-                    current["counts"] = [
-                        a + b
-                        for a, b in zip(current["counts"], entry["counts"])
-                    ]
-                else:
-                    # Incompatible layouts: keep the first-seen bounds and
-                    # fold the stranger's observations into +inf.
-                    current["counts"][-1] += sum(entry["counts"])
-            else:
-                raise ValueError(
-                    f"unknown metric kind {kind!r} for {name!r}"
-                )
-    return merged

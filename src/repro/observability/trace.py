@@ -20,7 +20,7 @@ event classes when tracing is off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -332,12 +332,17 @@ class QueryTrace:
 
         Two searches over identically-built indexes with the same query,
         parameters, and entry-sampling randomness must produce equal
-        signatures — the determinism regression tests compare these.
+        signatures — the determinism regression tests compare these.  A
+        NaN ratio (no ratio computed) is carried as ``None``: every NaN
+        compares unequal, so a decoded copy of the trace would not match.
         """
         return (
             self.k,
             self.window_positions,
-            tuple(self.selection),
+            tuple(
+                replace(e, ratio=None) if math.isnan(e.ratio) else e
+                for e in self.selection
+            ),
             tuple(
                 (
                     e.block_index,

@@ -14,8 +14,10 @@ module makes the whole journey one trace, Dapper-style:
 * :class:`StitchedTrace` — the assembled cluster trace: a root span whose
   children are the per-shard spans, each carrying the worker's full local
   :class:`QueryTrace` (block spans, tier marks, ADC strategy).
-* :func:`trace_to_wire` / :func:`trace_from_wire` — a lossless JSON codec
-  for :class:`QueryTrace`, so workers can attach their local trace to a
+* :func:`to_wire` / :func:`from_wire` — the one JSON codec for every
+  telemetry dataclass (:class:`QueryTrace`, :class:`Span`,
+  :class:`StitchedTrace`, :class:`TraceContext`, ``TraceRecord``), derived
+  from the dataclass fields, so workers can attach their local trace to a
   reply and routers/CLIs can reconstruct it bit-for-bit.
 
 Everything here is carried *alongside* query payloads — trace propagation
@@ -26,30 +28,31 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Mapping
-
-from ..core.results import QueryStats
-from .trace import (
-    BlockSearchEvent,
-    PlanStepEvent,
-    QueryTrace,
-    SelectionEvent,
-    ShardScatterEvent,
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import lru_cache
+from types import UnionType
+from typing import (
+    Any,
+    Mapping,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
 )
+
+from .trace import QueryTrace
+
+T = TypeVar("T")
 
 __all__ = [
     "Span",
     "StitchedTrace",
     "TraceContext",
+    "from_wire",
     "mint_trace_id",
     "mint_span_id",
-    "span_from_wire",
-    "span_to_wire",
-    "stitched_from_wire",
-    "stitched_to_wire",
-    "trace_from_wire",
-    "trace_to_wire",
+    "to_wire",
 ]
 
 
@@ -96,29 +99,6 @@ class TraceContext:
             parent_id=self.span_id,
         )
 
-    def to_wire(self) -> dict[str, object]:
-        """JSON-safe dict for embedding in a request payload."""
-        out: dict[str, object] = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-        }
-        if self.parent_id is not None:
-            out["parent_id"] = self.parent_id
-        return out
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, object]) -> "TraceContext":
-        """Reconstruct a context from :meth:`to_wire` output."""
-        return cls(
-            trace_id=str(payload["trace_id"]),
-            span_id=str(payload["span_id"]),
-            parent_id=(
-                str(payload["parent_id"])
-                if payload.get("parent_id") is not None
-                else None
-            ),
-        )
-
 
 @dataclass
 class Span:
@@ -146,36 +126,6 @@ class Span:
     started: float = 0.0
     seconds: float = 0.0
     tags: dict[str, object] = field(default_factory=dict)
-
-
-def span_to_wire(span: Span) -> dict[str, object]:
-    """JSON-safe dict for one :class:`Span`."""
-    return {
-        "name": span.name,
-        "trace_id": span.trace_id,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "started": span.started,
-        "seconds": span.seconds,
-        "tags": dict(span.tags),
-    }
-
-
-def span_from_wire(payload: Mapping[str, object]) -> Span:
-    """Reconstruct a :class:`Span` from :func:`span_to_wire` output."""
-    return Span(
-        name=str(payload["name"]),
-        trace_id=str(payload["trace_id"]),
-        span_id=str(payload["span_id"]),
-        parent_id=(
-            str(payload["parent_id"])
-            if payload.get("parent_id") is not None
-            else None
-        ),
-        started=float(payload.get("started", 0.0)),
-        seconds=float(payload.get("seconds", 0.0)),
-        tags=dict(payload.get("tags") or {}),
-    )
 
 
 @dataclass
@@ -238,217 +188,83 @@ class StitchedTrace:
 
 # --------------------------------------------------------------- wire codec
 
+#: How :func:`to_wire` spells a non-finite float (strict JSON has none).
+_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
-def trace_to_wire(trace: QueryTrace) -> dict[str, object]:
-    """Serialize a :class:`QueryTrace` to a JSON-safe dict, losslessly.
 
-    Workers attach this to their query replies; the router and the
-    ``repro slow`` CLI reconstruct the trace with :func:`trace_from_wire`.
-    Tuples flatten to lists (JSON has no tuples); ``from_wire`` restores
-    them, so a round-tripped trace has an equal :meth:`QueryTrace.signature`.
+def to_wire(obj: Any) -> Any:
+    """The JSON-safe form of a telemetry value, derived from its dataclass.
+
+    A dataclass becomes a dict keyed by its field names, tuples become
+    lists, dict keys become strings, and a non-finite float becomes the
+    string ``"inf"``, ``"-inf"`` or ``"nan"`` — so the result always
+    passes ``json.dumps(..., allow_nan=False)``.  :func:`from_wire` is
+    the inverse.
     """
-    return {
-        "k": trace.k,
-        "t_start": trace.t_start,
-        "t_end": trace.t_end,
-        "tau": trace.tau,
-        "selection_mode": trace.selection_mode,
-        "brute_force_threshold": trace.brute_force_threshold,
-        "window_positions": list(trace.window_positions),
-        "selection": [
-            {
-                "block_index": e.block_index,
-                "height": e.height,
-                "positions": list(e.positions),
-                "overlap": e.overlap,
-                "ratio": e.ratio,
-                "tau": e.tau,
-                "decision": e.decision,
-                "reason": e.reason,
-            }
-            for e in trace.selection
-        ],
-        "blocks": [
-            {
-                "block_index": e.block_index,
-                "height": e.height,
-                "positions": list(e.positions),
-                "window": list(e.window),
-                "built": e.built,
-                "strategy": e.strategy,
-                "reason": e.reason,
-                "nodes_visited": e.nodes_visited,
-                "distance_evaluations": e.distance_evaluations,
-                "seconds": e.seconds,
-                "n_results": e.n_results,
-                "started": e.started,
-                "tier": e.tier,
-            }
-            for e in trace.blocks
-        ],
-        "plan": [
-            {
-                "strategy": e.strategy,
-                "blocks": list(e.blocks),
-                "rows": list(e.rows),
-                "est_us": e.est_us,
-                "actual_us": e.actual_us,
-            }
-            for e in trace.plan
-        ],
-        "shards": [
-            {
-                "shard": e.shard,
-                "pruned": e.pruned,
-                "failed": e.failed,
-                "n_results": e.n_results,
-                "distance_evaluations": e.distance_evaluations,
-                "seconds": e.seconds,
-                "started": e.started,
-                "retries": e.retries,
-            }
-            for e in trace.shards
-        ],
-        "result_positions": list(trace.result_positions),
-        "result_distances": list(trace.result_distances),
-        "stats": (
-            None
-            if trace.stats is None
-            else {
-                "blocks_searched": trace.stats.blocks_searched,
-                "graph_blocks": trace.stats.graph_blocks,
-                "nodes_visited": trace.stats.nodes_visited,
-                "distance_evaluations": trace.stats.distance_evaluations,
-                "window_size": trace.stats.window_size,
-            }
-        ),
-        "seconds": trace.seconds,
-    }
+    if is_dataclass(obj):
+        return {f.name: to_wire(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [to_wire(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): to_wire(v) for k, v in obj.items()}
+    return obj
 
 
-def trace_from_wire(payload: Mapping[str, object]) -> QueryTrace:
-    """Reconstruct a :class:`QueryTrace` from :func:`trace_to_wire` output.
+def from_wire(cls: type[T], payload: Mapping[str, Any]) -> T:
+    """Rebuild a ``cls`` instance from :func:`to_wire` output.
 
-    Keys the decoder does not know (such as the ``"parallel"`` flag older
-    writers sent) are ignored.  ``brute_force_threshold`` is ``null`` when
-    the block planner chose the strategies; older writers always sent an
-    int and no ``"plan"``.
+    Driven by the dataclass's resolved type hints: tuples are restored,
+    ``dict[int, ...]`` keys go back to ints, ``X | None`` accepts
+    ``null``, and a float field reads the non-finite strings back.  A
+    missing key takes the field's default (payloads from older writers
+    lack ``"plan"``, ``"started"``, ``"retries"``...) and a key the class
+    does not know (such as an old ``"parallel"`` flag) is ignored.  An
+    untyped value (a :class:`Span` tag) reads the three non-finite
+    spellings back as floats, so a tag string cannot be one of them.
     """
-    threshold = payload.get("brute_force_threshold")
-    trace = QueryTrace(
-        k=int(payload.get("k", 0)),
-        t_start=float(payload.get("t_start", math.nan)),
-        t_end=float(payload.get("t_end", math.nan)),
-        tau=float(payload.get("tau", math.nan)),
-        selection_mode=str(payload.get("selection_mode", "")),
-        brute_force_threshold=None if threshold is None else int(threshold),
-        window_positions=tuple(
-            int(v) for v in payload.get("window_positions", (0, 0))
-        ),
-        result_positions=tuple(
-            int(p) for p in payload.get("result_positions", ())
-        ),
-        result_distances=tuple(
-            float(d) for d in payload.get("result_distances", ())
-        ),
-        seconds=float(payload.get("seconds", 0.0)),
+    hints = _hints(cls)
+    return cls(
+        **{
+            f.name: _decode(hints[f.name], payload[f.name])
+            for f in fields(cls)
+            if f.name in payload
+        }
     )
-    for e in payload.get("selection", ()):
-        trace.selection.append(
-            SelectionEvent(
-                block_index=int(e["block_index"]),
-                height=int(e["height"]),
-                positions=tuple(int(v) for v in e["positions"]),
-                overlap=int(e["overlap"]),
-                ratio=float(e["ratio"]),
-                tau=float(e["tau"]),
-                decision=str(e["decision"]),
-                reason=str(e["reason"]),
-            )
-        )
-    for e in payload.get("blocks", ()):
-        trace.blocks.append(
-            BlockSearchEvent(
-                block_index=int(e["block_index"]),
-                height=int(e["height"]),
-                positions=tuple(int(v) for v in e["positions"]),
-                window=tuple(int(v) for v in e["window"]),
-                built=bool(e["built"]),
-                strategy=str(e["strategy"]),
-                reason=str(e["reason"]),
-                nodes_visited=int(e["nodes_visited"]),
-                distance_evaluations=int(e["distance_evaluations"]),
-                seconds=float(e["seconds"]),
-                n_results=int(e["n_results"]),
-                started=float(e.get("started", 0.0)),
-                tier=str(e.get("tier", "hot")),
-            )
-        )
-    for e in payload.get("plan", ()):
-        trace.plan.append(
-            PlanStepEvent(
-                strategy=str(e["strategy"]),
-                blocks=tuple(int(b) for b in e["blocks"]),
-                rows=tuple(int(v) for v in e["rows"]),
-                est_us=float(e["est_us"]),
-                actual_us=float(e["actual_us"]),
-            )
-        )
-    for e in payload.get("shards", ()):
-        trace.shards.append(
-            ShardScatterEvent(
-                shard=int(e["shard"]),
-                pruned=bool(e["pruned"]),
-                failed=bool(e["failed"]),
-                n_results=int(e["n_results"]),
-                distance_evaluations=int(e["distance_evaluations"]),
-                seconds=float(e.get("seconds", 0.0)),
-                started=float(e.get("started", 0.0)),
-                retries=int(e.get("retries", 0)),
-            )
-        )
-    stats = payload.get("stats")
-    if stats is not None:
-        trace.stats = QueryStats(
-            blocks_searched=int(stats["blocks_searched"]),
-            graph_blocks=int(stats["graph_blocks"]),
-            nodes_visited=int(stats["nodes_visited"]),
-            distance_evaluations=int(stats["distance_evaluations"]),
-            window_size=int(stats["window_size"]),
-        )
-    return trace
 
 
-def stitched_to_wire(stitched: StitchedTrace) -> dict[str, object]:
-    """Serialize a :class:`StitchedTrace` (for ``/debug`` endpoints)."""
-    return {
-        "trace_id": stitched.trace_id,
-        "root": span_to_wire(stitched.root),
-        "spans": [span_to_wire(s) for s in stitched.spans],
-        "shard_traces": {
-            str(shard): trace_to_wire(trace)
-            for shard, trace in stitched.shard_traces.items()
-        },
-        "router_trace": (
-            None
-            if stitched.router_trace is None
-            else trace_to_wire(stitched.router_trace)
-        ),
-    }
+@lru_cache(maxsize=None)
+def _hints(cls: type) -> dict[str, Any]:
+    # Resolved on first use: importing repro.core at module level would
+    # cycle back through core/mbi.py into this package.
+    from ..core.results import QueryStats
+
+    return get_type_hints(cls, localns={"QueryStats": QueryStats})
 
 
-def stitched_from_wire(payload: Mapping[str, object]) -> StitchedTrace:
-    """Reconstruct a :class:`StitchedTrace` from :func:`stitched_to_wire`."""
-    router_trace = payload.get("router_trace")
-    return StitchedTrace(
-        trace_id=str(payload["trace_id"]),
-        root=span_from_wire(payload["root"]),
-        spans=[span_from_wire(s) for s in payload.get("spans", ())],
-        shard_traces={
-            int(shard): trace_from_wire(trace)
-            for shard, trace in (payload.get("shard_traces") or {}).items()
-        },
-        router_trace=(
-            None if router_trace is None else trace_from_wire(router_trace)
-        ),
-    )
+def _decode(hint: Any, value: Any) -> Any:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType or origin is Union:
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _decode(hint, value)
+    if is_dataclass(hint):
+        return from_wire(hint, value)
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(_decode(args[0], v) for v in value)
+        return tuple(_decode(a, v) for a, v in zip(args, value))
+    if origin is list:
+        return [_decode(args[0], v) for v in value]
+    if origin is dict:
+        return {
+            _decode(args[0], k): _decode(args[1], v) for k, v in value.items()
+        }
+    if hint in (int, float, str, bool):
+        return hint(value)
+    # Untyped (a span tag): only the non-finite spellings need undoing.
+    if isinstance(value, str):
+        return _NON_FINITE.get(value, value)
+    return value

@@ -40,9 +40,9 @@ from ..exceptions import (
 )
 from ..faultinject import failpoint
 from ..observability.metrics import get_registry, render_prometheus
-from ..observability.telemetry import get_telemetry, record_to_wire
+from ..observability.telemetry import get_telemetry
 from ..observability.trace import QueryTrace
-from ..observability.tracing import TraceContext, trace_to_wire
+from ..observability.tracing import TraceContext, from_wire, to_wire
 from .service import IndexService
 
 _MAX_BODY = 64 * 1024 * 1024
@@ -50,6 +50,8 @@ _MAX_BODY = 64 * 1024 * 1024
 #: ``{(method, path): route(params, body) -> (status, payload)}``, where
 #: ``params`` is the parsed query string, ``body`` a POST's JSON object
 #: (``None`` for GET), and a ``str`` payload is sent as ``text/plain``.
+#: Any other payload is sent through :func:`to_wire` as strict JSON, so
+#: it may hold telemetry dataclasses and non-finite floats.
 Routes = dict[tuple[str, str], Callable[[dict, Any], tuple[int, Any]]]
 
 #: Exception → status, first match wins; anything else propagates to
@@ -172,7 +174,8 @@ class _Handler(BaseHTTPRequestHandler):
             body = payload.encode("utf-8")
             content_type = "text/plain; charset=utf-8"
         else:
-            body = json.dumps(payload).encode("utf-8")
+            text = json.dumps(to_wire(payload), allow_nan=False)
+            body = text.encode("utf-8")
             content_type = "application/json"
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -221,7 +224,7 @@ def query_args(body: dict) -> tuple[np.ndarray, int, float, float]:
     """``(query, k, t_start, t_end)`` from a ``POST /query`` body."""
     return (
         np.asarray(body["query"], dtype=np.float64),
-        int(body.get("k", 10)),
+        body.get("k", 10),  # unconverted: check_query rejects 2.5 or "3"
         float(body.get("t_start", float("-inf"))),
         float(body.get("t_end", float("inf"))),
     )
@@ -262,7 +265,7 @@ def _reply_records(which: str, params: dict, body: None) -> tuple[int, dict]:
     # Looked up per request: configure_telemetry() swaps the instance.
     buffer = getattr(get_telemetry(), which)
     return 200, {
-        "records": [record_to_wire(record) for record in buffer.recent(n)],
+        "records": buffer.recent(n),
         "dropped": buffer.dropped,
     }
 
@@ -303,7 +306,7 @@ def _query(service: IndexService, params: dict, body: dict) -> tuple[int, dict]:
     """
     query, k, t_start, t_end = query_args(body)
     telemetry = get_telemetry()
-    ctx = TraceContext.from_wire(body["trace"]) if "trace" in body else None
+    ctx = from_wire(TraceContext, body["trace"]) if "trace" in body else None
     extra: dict[str, Any] = {}
     if "seed" in body:
         trace = QueryTrace() if ctx is not None else None
@@ -327,13 +330,8 @@ def _query(service: IndexService, params: dict, body: dict) -> tuple[int, dict]:
                 trace=trace,
                 trace_id=ctx.trace_id,
             )
-            extra["trace"] = trace_to_wire(trace)
-            extra["span"] = {
-                "trace_id": ctx.trace_id,
-                "span_id": ctx.span_id,
-                "parent_id": ctx.parent_id,
-                "seconds": seconds,
-            }
+            extra["trace"] = trace
+            extra["span"] = {**to_wire(ctx), "seconds": seconds}
     else:
         # Head-sample at admission; the service's worker loop records
         # the trace (and any slow query) when the answer lands.
@@ -352,10 +350,6 @@ def _query(service: IndexService, params: dict, body: dict) -> tuple[int, dict]:
         )
     return 200, {
         **answer_to_wire(result),
-        "blocks_searched": result.stats.blocks_searched,
-        "graph_blocks": result.stats.graph_blocks,
-        "nodes_visited": result.stats.nodes_visited,
-        "distance_evaluations": result.stats.distance_evaluations,
-        "window_size": result.stats.window_size,
+        **to_wire(result.stats),
         **extra,
     }

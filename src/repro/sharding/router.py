@@ -48,8 +48,8 @@ from ..exceptions import (
     TimestampOrderError,
 )
 from ..faultinject import failpoint
-from ..observability.metrics import get_registry
-from ..observability.telemetry import aggregate_states, get_telemetry
+from ..observability.metrics import aggregate_states, get_registry
+from ..observability.telemetry import get_telemetry
 from ..observability.trace import QueryTrace
 from ..observability.tracing import Span, StitchedTrace, TraceContext
 from .transport import InProcessTransport, ShardReply, ShardTransport
@@ -509,6 +509,10 @@ class ShardRouter:
             raise DimensionMismatchError(self.dim, queries.shape[1])
         if not np.isfinite(queries).all():
             raise InvalidQueryError("query contains non-finite components")
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise InvalidQueryError(f"k must be an integer, got {k!r}")
+        if k < 1:
+            raise InvalidQueryError(f"k must be >= 1, got {k}")
         if allow_partial is None:
             allow_partial = self.config.allow_partial
         if seed is None:

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..core.results import QueryStats
 from ..observability.trace import QueryTrace
-from ..observability.tracing import TraceContext, trace_from_wire
+from ..observability.tracing import TraceContext, from_wire, to_wire
 from ..service.service import IndexService
 
 __all__ = [
@@ -350,24 +350,18 @@ class HttpTransport(ShardTransport):
             "seed": int(seed),
         }
         if trace_ctx is not None:
-            payload["trace"] = trace_ctx.to_wire()
+            payload["trace"] = to_wire(trace_ctx)
         reply = self._request("POST", "/query", payload)
-        remote_trace = reply.get("trace")
         return ShardReply(
             positions=np.asarray(reply["positions"], dtype=np.int64),
             distances=np.asarray(reply["distances"], dtype=np.float64),
             timestamps=np.asarray(reply["timestamps"], dtype=np.float64),
-            stats=QueryStats(
-                blocks_searched=int(reply.get("blocks_searched", 0)),
-                graph_blocks=int(reply.get("graph_blocks", 0)),
-                nodes_visited=int(reply.get("nodes_visited", 0)),
-                distance_evaluations=int(
-                    reply.get("distance_evaluations", 0)
-                ),
-                window_size=int(reply.get("window_size", 0)),
-            ),
+            # The reply's top-level stats keys; the rest are ignored.
+            stats=from_wire(QueryStats, reply),
             trace=(
-                None if remote_trace is None else trace_from_wire(remote_trace)
+                from_wire(QueryTrace, reply["trace"])
+                if reply.get("trace") is not None
+                else None
             ),
         )
 

@@ -47,7 +47,7 @@ def _metrics_isolation():
     keep working, while cross-module accumulation disappears.
     """
     registry = get_registry()
-    state = registry.dump_state()
+    state = registry.export_state()
     yield
     registry.restore_state(state)
 

@@ -22,9 +22,9 @@ from repro import (
 )
 from repro.faultinject import Action, get_failpoints
 from repro.graph import GraphConfig
+from repro.observability.metrics import aggregate_states
 from repro.observability.telemetry import (
     TelemetryConfig,
-    aggregate_states,
     configure_telemetry,
     get_telemetry,
 )

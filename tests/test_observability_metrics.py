@@ -13,11 +13,11 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    aggregate_states,
     get_registry,
     quantile_from_buckets,
     render_prometheus,
 )
-from repro.observability.telemetry import aggregate_states
 
 
 class TestCounter:
@@ -62,18 +62,10 @@ class TestGauge:
         g = Gauge("x")
         g.set(9)
         g.set(2)
-        state = g._dump()
+        state = g._export()
         g.set(100)
         g._restore(state)
         assert (g.value, g.peak) == (2.0, 9.0)
-
-    def test_restore_accepts_legacy_bare_float(self):
-        # dump_state snapshots taken before peak tracking stored a float.
-        g = Gauge("x")
-        g._restore(5.0)
-        assert (g.value, g.peak) == (5.0, 5.0)
-        g._restore(-1.0)
-        assert (g.value, g.peak) == (-1.0, 0.0)
 
 
 class TestHistogram:
@@ -228,6 +220,81 @@ class TestExportState:
         }
 
 
+    def test_restore_takes_a_strict_json_export(self):
+        import json
+
+        r = MetricsRegistry()
+        c = r.counter("c_total")
+        g = r.gauge("g")
+        h = r.histogram("h", buckets=(1.0, 2.0))
+        c.inc(4)
+        g.set(9)
+        g.set(-1)
+        h.observe(0.5)
+        h.observe(1.5)
+        h.observe(7.0)
+        text = json.dumps(r.export_state(), allow_nan=False)
+        r.reset()
+        r.restore_state(json.loads(text))
+        assert c.value == 4.0
+        assert (g.value, g.peak) == (-1.0, 9.0)
+        assert h.buckets() == {1.0: 1, 2.0: 2, math.inf: 3}
+        assert (h.count, h.sum) == (3, 9.0)
+
+    def test_restore_rejects_a_histogram_of_another_shape(self):
+        r = MetricsRegistry()
+        r.histogram("h", buckets=(1.0, 2.0))
+        state = r.export_state()
+        state["h"]["counts"] = [0, 0]
+        with pytest.raises(ValueError, match="buckets"):
+            r.restore_state(state)
+
+
+class TestSnapshot:
+    """``snapshot()`` is read by benchmarks/layered: its dict is pinned."""
+
+    def test_snapshot_is_pinned(self):
+        r = MetricsRegistry()
+        r.counter("b_total").inc(3)
+        r.gauge("a").set(-2.5)
+        h = r.histogram("h", buckets=(1.0,))
+        h.observe(0.25)
+        h.observe(4.0)
+        r.histogram("empty")
+        snap = r.snapshot()
+        assert list(snap) == ["a", "b_total", "empty", "h"]
+        assert snap["a"] == -2.5 and snap["b_total"] == 3.0
+        assert snap["h"] == {"count": 2.0, "sum": 4.25, "mean": 2.125}
+        assert snap["empty"]["count"] == 0.0 and snap["empty"]["sum"] == 0.0
+        assert math.isnan(snap["empty"]["mean"])
+        assert all(type(v) is float for v in snap["h"].values())
+
+    def test_process_registry_snapshot_matches_live_metrics(self, clustered_data):
+        from repro import MultiLevelBlockIndex
+
+        from .conftest import small_mbi_config
+
+        vectors, timestamps, queries = clustered_data
+        index = MultiLevelBlockIndex(
+            vectors.shape[1], "euclidean", small_mbi_config(leaf_size=100)
+        )
+        index.extend(vectors, timestamps)
+        index.search(queries[0], 5, 10.0, 90.0)
+        registry = get_registry()
+        snap = registry.snapshot()
+        assert list(snap) == sorted(registry.names())
+        for name, value in snap.items():
+            metric = registry.get(name)
+            if isinstance(metric, Histogram):
+                assert value["count"] == float(metric.count)
+                assert value["sum"] == metric.sum
+                assert value["mean"] == metric.mean or (
+                    math.isnan(value["mean"]) and math.isnan(metric.mean)
+                )
+            else:
+                assert value == metric.value
+
+
 class TestAggregateStates:
     """ISSUE 10 tentpole: the router's fleet-metrics merge."""
 
@@ -368,7 +435,7 @@ class TestRegistry:
         g.set(-2.5)
         h.observe(0.5)
         h.observe(1.5)
-        state = r.dump_state()
+        state = r.export_state()
         c.inc(100)
         g.set(99.0)
         for _ in range(50):
@@ -379,12 +446,13 @@ class TestRegistry:
         assert h.count == 2
         assert h.sum == 2.0
         # Bucket-level restoration, not just totals.
-        assert "h_bucket{le=1} 1" in r.render()
-        assert "h_bucket{le=2} 2" in r.render()
+        assert h.buckets()[1.0] == 1
+        assert h.buckets()[2.0] == 2
+        assert r.export_state()["h"]["counts"] == [1, 1, 0]
 
     def test_restore_resets_metrics_created_after_dump(self):
         r = MetricsRegistry()
-        state = r.dump_state()
+        state = r.export_state()
         late = r.counter("late_total")
         late.inc(7)
         r.restore_state(state)
@@ -395,21 +463,9 @@ class TestRegistry:
     def test_restore_keeps_handles_identity(self):
         r = MetricsRegistry()
         c = r.counter("c_total")
-        state = r.dump_state()
+        state = r.export_state()
         r.restore_state(state)
         assert r.counter("c_total") is c
-
-    def test_render_lists_every_metric(self):
-        r = MetricsRegistry()
-        r.counter("c_total").inc(3)
-        r.gauge("g").set(1.5)
-        r.histogram("h", buckets=(1.0,)).observe(0.5)
-        text = r.render()
-        assert "c_total 3" in text
-        assert "g 1.5" in text
-        assert "h_count 1" in text
-        assert "h_bucket{le=1} 1" in text
-        assert "h_bucket{le=+inf} 1" in text
 
     def test_thread_safety_under_contention(self):
         r = MetricsRegistry()

@@ -41,6 +41,7 @@ BAD_QUERIES = {
     "minus-inf": np.r_[np.zeros(DIM - 1), -np.inf],
 }
 BAD_KS = [2.5, 3.0, True, "3", None, np.float64(2.0)]
+JSON_BAD_KS = [2.5, 3.0, True, "3", None]
 GOOD_KS = [3, np.int32(3), np.int64(3), np.uint8(3)]
 
 
@@ -148,6 +149,16 @@ class TestRouter:
             router.search(BAD_QUERIES[name], 3)
         assert get_registry().snapshot()["shard_failures_total"] == failures
 
+    @pytest.mark.parametrize("k", [*BAD_KS, 0], ids=repr)
+    def test_bad_k_is_not_a_shard_failure(self, router, k):
+        failures = get_registry().snapshot()["shard_failures_total"]
+        with pytest.raises(InvalidQueryError, match="k must be"):
+            router.search(np.zeros(DIM), k)
+        assert get_registry().snapshot()["shard_failures_total"] == failures
+
+    def test_numpy_integer_k_is_answered(self, router):
+        assert len(router.search(np.zeros(DIM), np.int64(4))) == 4
+
 
 class TestHttp:
     @pytest.mark.parametrize("name", ["one-nan", "inf"])
@@ -164,6 +175,26 @@ class TestHttp:
         with running(make_router_server(router, port=0)) as base:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 post(base + "/query", {"query": BAD_QUERIES[name].tolist(), "k": 3})
+        excinfo.value.close()
+        assert excinfo.value.code == 400
+        assert get_registry().snapshot()["shard_failures_total"] == failures
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["queued", "seeded"])
+    @pytest.mark.parametrize("k", JSON_BAD_KS, ids=repr)
+    def test_service_non_integer_k_answers_400(self, service, k, seeded):
+        body = {"query": [0.0] * DIM, "k": k, **({"seed": 1} if seeded else {})}
+        with running(make_server(service, port=0)) as base:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/query", body)
+        excinfo.value.close()
+        assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("k", JSON_BAD_KS, ids=repr)
+    def test_router_non_integer_k_answers_400(self, router, k):
+        failures = get_registry().snapshot()["shard_failures_total"]
+        with running(make_router_server(router, port=0)) as base:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/query", {"query": [0.0] * DIM, "k": k})
         excinfo.value.close()
         assert excinfo.value.code == 400
         assert get_registry().snapshot()["shard_failures_total"] == failures

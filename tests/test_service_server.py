@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import math
 import re
 import socket
 import threading
@@ -23,8 +24,16 @@ import pytest
 from repro.core.config import MBIConfig, SearchParams
 from repro.faultinject import get_failpoints
 from repro.graph.builder import GraphConfig
+from repro.observability.telemetry import (
+    TelemetryConfig,
+    TraceRecord,
+    configure_telemetry,
+)
+from repro.observability.tracing import from_wire
 from repro.service import IndexService, ServiceConfig, make_server
+from repro.service.server import service_routes
 from repro.sharding import ShardRouter, make_router_server
+from repro.sharding.server import router_routes
 
 DIM = 6
 
@@ -72,6 +81,15 @@ def served(tmp_path):
     svc.close()
 
 
+def strict_loads(text: str | bytes):
+    """``json.loads`` refusing ``NaN``/``Infinity``, which are not JSON."""
+
+    def reject(token: str):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def get(url: str):
     with urllib.request.urlopen(url, timeout=10) as response:
         return response.status, response.read().decode()
@@ -100,6 +118,52 @@ def raw_exchange(base: str, request: bytes) -> bytes:
 
 
 class TestEndpoints:
+    #: One request per route; POST bodies, or None for a GET.
+    REQUESTS = {
+        ("GET", "/healthz"): None,
+        ("GET", "/metrics"): None,
+        ("GET", "/metrics/json"): None,
+        ("GET", "/debug/trace/recent"): None,
+        ("GET", "/debug/slow"): None,
+        ("POST", "/query"): {"query": [0.1] * DIM, "k": 3, "seed": 2},
+        ("POST", "/ingest"): {"vector": [0.0] * DIM, "timestamp": 100.0},
+        ("POST", "/checkpoint"): {},
+    }
+
+    @staticmethod
+    def routes(target):
+        return service_routes(target)
+
+    def test_every_route_replies_strict_json(self, served):
+        # Sampled traces carry an unbounded window (-inf, inf) and NaN
+        # selection ratios: the wire must spell them as strings.
+        target, base = served
+        configure_telemetry(
+            TelemetryConfig(
+                sample_rate=1.0, rate_limit_per_sec=1e6, slow_threshold=0.0
+            )
+        )
+        post(base + "/query", {"query": [0.1] * DIM, "k": 3, "seed": 1})
+        assert set(self.REQUESTS) == set(self.routes(target))
+        replies = {}
+        for (method, path), payload in self.REQUESTS.items():
+            request = urllib.request.Request(
+                base + path,
+                data=None if payload is None else json.dumps(payload).encode(),
+                headers={"Content-Type": "application/json"},
+                method=method,
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert response.status == 200, path
+                body = response.read()
+            if path != "/metrics":  # Prometheus text, not JSON
+                replies[path] = strict_loads(body)
+        records = [
+            from_wire(TraceRecord, r)
+            for r in replies["/debug/trace/recent"]["records"]
+        ]
+        assert records and all(math.isinf(r.t_start) for r in records)
+
     def test_healthz(self, served):
         svc, base = served
         status, body = get(base + "/healthz")
@@ -246,6 +310,12 @@ class TestEndpoints:
 
 class TestRouterEndpoints(TestEndpoints):
     """The same cases against ``make_router_server`` over 2 shards."""
+
+    REQUESTS = {**TestEndpoints.REQUESTS, ("GET", "/shard/stats"): None}
+
+    @staticmethod
+    def routes(target):
+        return router_routes(target)
 
     @pytest.fixture()
     def served(self, tmp_path):

@@ -24,10 +24,9 @@ from repro.observability.telemetry import (
     TraceSampler,
     configure_telemetry,
     get_telemetry,
-    record_from_wire,
-    record_to_wire,
 )
 from repro.observability.trace import QueryTrace
+from repro.observability.tracing import from_wire, to_wire
 from repro.service import IndexService, ServiceConfig, make_server
 
 
@@ -244,7 +243,7 @@ class TestRecordCodec:
             trace_id="ab" * 16, source="router", seconds=0.5,
             k=7, t_start=1.0, t_end=2.0, slow=True, unix_time=123.0,
         )
-        got = record_from_wire(json.loads(json.dumps(record_to_wire(record))))
+        got = from_wire(TraceRecord, json.loads(json.dumps(to_wire(record))))
         assert got == record
 
     def test_full_trace_round_trip(self):
@@ -254,7 +253,7 @@ class TestRecordCodec:
             trace_id="cd" * 16, source="service", seconds=0.1,
             k=3, t_start=0.0, t_end=9.0, sampled=True, trace=trace,
         )
-        got = record_from_wire(json.loads(json.dumps(record_to_wire(record))))
+        got = from_wire(TraceRecord, json.loads(json.dumps(to_wire(record))))
         assert got.sampled
         assert got.trace is not None
         assert got.trace.signature() == trace.signature()
@@ -319,7 +318,7 @@ class TestServiceTelemetryEndpoints:
         assert status == 200
         assert any(r["sampled"] for r in records)
         sampled = next(r for r in records if r["sampled"])
-        trace = record_from_wire(sampled).trace
+        trace = from_wire(TraceRecord, sampled).trace
         assert trace is not None and trace.k == 3
         assert len(trace.blocks) >= 1
         # slow_threshold=0 means every query is also a slow query.

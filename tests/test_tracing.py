@@ -13,21 +13,17 @@ import json
 import numpy as np
 import pytest
 
-from repro import MultiLevelBlockIndex
+from repro import MBIConfig, MultiLevelBlockIndex
 from repro.core.results import QueryStats
 from repro.observability.trace import QueryTrace
 from repro.observability.tracing import (
     Span,
     StitchedTrace,
     TraceContext,
+    from_wire,
     mint_span_id,
     mint_trace_id,
-    span_from_wire,
-    span_to_wire,
-    stitched_from_wire,
-    stitched_to_wire,
-    trace_from_wire,
-    trace_to_wire,
+    to_wire,
 )
 
 from .conftest import small_mbi_config
@@ -78,11 +74,15 @@ class TestTraceContext:
 
     def test_wire_round_trip(self):
         for ctx in (TraceContext.root(), TraceContext.root().child()):
-            wire = json.loads(json.dumps(ctx.to_wire()))
-            assert TraceContext.from_wire(wire) == ctx
+            wire = json.loads(json.dumps(to_wire(ctx)))
+            assert from_wire(TraceContext, wire) == ctx
 
-    def test_root_wire_omits_parent(self):
-        assert "parent_id" not in TraceContext.root().to_wire()
+    def test_root_wire_carries_null_parent(self):
+        # Every field is on the wire; a root's parent is null, which the
+        # older hand-written decoder also read back as None.
+        wire = json.loads(json.dumps(to_wire(TraceContext.root())))
+        assert wire["parent_id"] is None
+        assert from_wire(TraceContext, wire).parent_id is None
 
     def test_contexts_are_frozen(self):
         ctx = TraceContext.root()
@@ -101,13 +101,11 @@ class TestSpanCodec:
             seconds=0.25,
             tags={"shard": 2, "status": "ok", "retries": 1},
         )
-        got = span_from_wire(json.loads(json.dumps(span_to_wire(span))))
+        got = from_wire(Span, json.loads(json.dumps(to_wire(span))))
         assert got == span
 
     def test_defaults_survive_sparse_payloads(self):
-        got = span_from_wire(
-            {"name": "x", "trace_id": "t", "span_id": "s"}
-        )
+        got = from_wire(Span, {"name": "x", "trace_id": "t", "span_id": "s"})
         assert got.parent_id is None
         assert got.started == 0.0
         assert got.seconds == 0.0
@@ -127,12 +125,23 @@ def explained_trace(clustered_data):
 
 class TestQueryTraceCodec:
     def test_round_trip_preserves_signature(self, explained_trace):
-        wire = json.loads(json.dumps(trace_to_wire(explained_trace)))
-        got = trace_from_wire(wire)
+        wire = json.loads(json.dumps(to_wire(explained_trace)))
+        got = from_wire(QueryTrace, wire)
         assert got.signature() == explained_trace.signature()
 
+    def test_round_trip_preserves_signature_with_nan_ratios(self):
+        # Leaves and virtual blocks compute no ratio (NaN); a decoded NaN
+        # is a fresh object, so the signature must not hold NaN itself.
+        rng = np.random.default_rng(5)
+        index = MultiLevelBlockIndex(6, "euclidean", MBIConfig(leaf_size=8))
+        index.extend(rng.standard_normal((100, 6)), np.arange(100.0))
+        trace = index.explain(np.zeros(6), 5, 10.0, 77.0)
+        assert any(np.isnan(e.ratio) for e in trace.selection)
+        got = from_wire(QueryTrace, json.loads(json.dumps(to_wire(trace))))
+        assert got.signature() == trace.signature()
+
     def test_round_trip_preserves_fields(self, explained_trace):
-        got = trace_from_wire(trace_to_wire(explained_trace))
+        got = from_wire(QueryTrace, to_wire(explained_trace))
         assert got.k == explained_trace.k
         assert got.tau == explained_trace.tau
         assert got.selection_mode == explained_trace.selection_mode
@@ -148,20 +157,20 @@ class TestQueryTraceCodec:
             1, False, False, 3, 99, seconds=0.5, started=0.1, retries=2
         )
         trace.stats = QueryStats(blocks_searched=2, distance_evaluations=99)
-        got = trace_from_wire(json.loads(json.dumps(trace_to_wire(trace))))
+        got = from_wire(QueryTrace, json.loads(json.dumps(to_wire(trace))))
         assert got.shards == trace.shards
         assert got.stats == trace.stats
 
     def test_round_trip_renders_identically(self, explained_trace):
-        got = trace_from_wire(trace_to_wire(explained_trace))
+        got = from_wire(QueryTrace, to_wire(explained_trace))
         assert got.render() == explained_trace.render()
 
     def test_planner_threshold_round_trips_as_null(self, explained_trace):
         # The default SearchParams leave strategy to the block planner.
         assert explained_trace.brute_force_threshold is None
-        wire = json.loads(json.dumps(trace_to_wire(explained_trace)))
+        wire = json.loads(json.dumps(to_wire(explained_trace)))
         assert wire["brute_force_threshold"] is None
-        got = trace_from_wire(wire)
+        got = from_wire(QueryTrace, wire)
         assert got.brute_force_threshold is None
         assert got.plan == explained_trace.plan
         assert "brute-force threshold: planner" in got.render()
@@ -169,10 +178,10 @@ class TestQueryTraceCodec:
     def test_decodes_payload_without_a_plan(self, explained_trace):
         # Writers older than the block planner always sent an int threshold
         # and no "plan" key.
-        wire = trace_to_wire(explained_trace)
+        wire = to_wire(explained_trace)
         wire["brute_force_threshold"] = 64
         del wire["plan"]
-        got = trace_from_wire(json.loads(json.dumps(wire)))
+        got = from_wire(QueryTrace, json.loads(json.dumps(wire)))
         assert got.brute_force_threshold == 64
         assert got.plan == []
         assert got.blocks == explained_trace.blocks
@@ -238,8 +247,8 @@ class TestStitchedTrace:
 
     def test_wire_round_trip(self, explained_trace):
         stitched = self._stitched(explained_trace)
-        wire = json.loads(json.dumps(stitched_to_wire(stitched)))
-        got = stitched_from_wire(wire)
+        wire = json.loads(json.dumps(to_wire(stitched)))
+        got = from_wire(StitchedTrace, wire)
         assert got.trace_id == stitched.trace_id
         assert got.root == stitched.root
         assert got.spans == stitched.spans
@@ -255,10 +264,10 @@ class TestStitchedTrace:
         # Traces written while a query thread pool existed carry a
         # "parallel" flag per QueryTrace payload; decoding drops it.
         stitched = self._stitched(explained_trace)
-        wire = json.loads(json.dumps(stitched_to_wire(stitched)))
+        wire = json.loads(json.dumps(to_wire(stitched)))
         for payload in wire["shard_traces"].values():
             payload["parallel"] = True
-        got = stitched_from_wire(wire)
+        got = from_wire(StitchedTrace, wire)
         assert (
             got.shard_traces[0].signature()
             == stitched.shard_traces[0].signature()
