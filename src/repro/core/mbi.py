@@ -9,11 +9,12 @@ an append-only timestamped vector store:
   creation order, which equals postorder traversal order.
 * **Query** (Algorithm 4): top-down block selection picks a time-disjoint
   search block set covering the query window; the block planner
-  (:mod:`repro.core.planner`) then has each block answered either with
-  graph search (Algorithm 2) or with an exact scan of its in-window rows,
-  whichever its cost table prices lower (the open leaf is always
-  scanned), and adjacent scanned blocks share one scan; partial results
-  merge into the final TkNN answer.
+  (:mod:`repro.core.planner`) gives each block graph search (Algorithm 2)
+  or an exact scan of its in-window rows, whichever its cost table prices
+  lower (the open leaf is always scanned), and groups them into steps:
+  one scan per run of adjacent scanned blocks, one search per walked
+  block.  Every query runs each step once and merges the partial results
+  once into the final TkNN answer.
 
 The bottom-up merge chain builds each block independently, so the index can
 optionally build them in a thread pool (the paper's "Parallelization of
@@ -37,7 +38,7 @@ from ..exceptions import EmptyIndexError, InvalidQueryError
 from ..graph.knn_graph import NO_NEIGHBOR
 from ..graph.knn_graph import KnnGraph
 from ..observability.metrics import get_registry
-from ..observability.trace import QueryTrace
+from ..observability.trace import BlockSearchEvent, PlanStepEvent, QueryTrace
 from ..quantization.adc import adc_scan
 # Unused here; benchmarks/layered/spans.py looks this name up on the module.
 from ..quantization.adc import adc_scan_batch  # noqa: F401
@@ -47,7 +48,7 @@ from .backends import GraphBackend, get_builder
 from .block import Block
 from .brute import brute_force_topk
 from .config import MBIConfig, SearchParams, TieringConfig
-from .planner import BRUTE, GRAPH, PlanStep, plan, runs, scan_us, walkable
+from .planner import BRUTE, GRAPH, PlanStep, plan
 from .results import QueryResult, QueryStats, check_query, merge_partial_results
 from .selection import select_blocks
 from .tree import leaf_block_index, leaf_range_of
@@ -461,20 +462,18 @@ class MultiLevelBlockIndex:
 
         The query resolves its time window to a store position range, walks
         the block tree top-down to pick a time-disjoint search block set
-        (the τ rule — see :func:`repro.core.selection.select_blocks`),
-        plans each selected block (graph search, or an exact scan of its
-        in-window rows where that is cheaper — see
-        :func:`repro.core.planner.plan`), answers the plan with one
-        coalesced scan per run of adjacent scanned blocks and one graph
-        search per remaining block, and merges the partial results into
-        the final top-``k``.  An untraced query with no pinned threshold and
-        no tiering, none of whose sealed blocks is
-        :func:`~repro.core.planner.walkable`, skips planning and issues the
-        plan's one scan of the window directly.
+        (the τ rule — see :func:`repro.core.selection.select_blocks`) and
+        plans it (:func:`repro.core.planner.plan`): one ``brute`` step per
+        run of adjacent blocks an exact scan of their in-window rows answers
+        more cheaply, one ``graph`` step per block whose index is searched.
+        Each step runs once — one scan, or one block search — and the
+        partial results merge once into the final top-``k``.  The
+        :class:`QueryStats` and the trace's events are sums and slices of
+        the steps; tracing decides nothing.
 
-        One seed per selected block is drawn from ``rng`` before any block
-        runs, and the merge is a stable sort on ``(distance, position)``, so
-        a fixed ``rng`` state always yields the same answer.
+        One seed per selected block is drawn from ``rng``, in block order,
+        and the merge is a stable sort on ``(distance, position)``, so a
+        fixed ``rng`` state always yields the same answer.
 
         Args:
             query: Query vector ``w``.
@@ -545,61 +544,43 @@ class MultiLevelBlockIndex:
             timestamps=self._store.timestamps,
             trace=trace,
         )
-        if (
-            trace is None
-            and params.brute_force_threshold is None
-            and self._tiering is None
-            and not any(
-                walkable(block.capacity, self.dim)
-                for block in selected
-                if block.positions.stop <= filled
-            )
-        ):
-            # No selected block can plan a walk, so the plan is one
-            # coalesced scan of the window: issue it without planning.
-            # The blocks' seeds are still drawn, one scalar draw each (the
-            # same stream as one array draw, at a third of the cost), so
-            # ``rng`` ends where a planned query leaves it.
-            for _ in selected:
-                rng.integers(0, 2**63 - 1)
-            found = brute_force_topk(
-                self._store, self._metric, query, k, positions, norms=self._scan
-            )
-            merged_positions, merged_dists = merge_partial_results([found], k)
-            span = positions.stop - positions.start
-            stats = QueryStats(
-                blocks_searched=len(selected),
-                distance_evaluations=span,
-                window_size=span,
-            )
-        else:
-            steps = plan(selected, positions, params, self.dim, filled)
-            if self._tiering is not None:
-                # Pin the window's blocks against eviction and (optionally)
-                # promote the cold ones the plan will graph-search.
-                self._tiering.note_selection(steps)
-            block_seeds = rng.integers(0, 2**63 - 1, size=len(selected))
-            partials: list[tuple[np.ndarray, np.ndarray]] = []
-            stats = QueryStats(window_size=positions.stop - positions.start)
-            for run in runs(steps):
-                if steps[run.start].strategy == BRUTE:
-                    found, run_stats = self._scan_steps(
-                        steps[run.start : run.stop], query, k,
-                        trace=trace, t0=started,
-                    )
-                else:
-                    found, run_stats = self._search_block(
-                        steps[run.start],
-                        query,
-                        k,
-                        params,
-                        np.random.default_rng(int(block_seeds[run.start])),
-                        trace=trace,
-                        t0=started,
-                    )
-                partials.append(found)
-                stats = stats.merged_with(run_stats)
-            merged_positions, merged_dists = merge_partial_results(partials, k)
+        steps = plan(selected, positions, params, self.dim, filled)
+        if self._tiering is not None:
+            # Pin the window's blocks against eviction and (optionally)
+            # promote the cold ones the plan will walk.
+            self._tiering.note_selection(steps, params)
+        partials: list[tuple[np.ndarray, np.ndarray]] = []
+        graph_blocks = nodes = evals = 0
+        for step in steps:
+            # One seed per block, in block order (scalar draws: the same
+            # stream as one array draw, and cheaper for the few blocks a
+            # query selects); a walk seeds its own generator with its own.
+            for _ in step.blocks:
+                seed = rng.integers(2**63 - 1)
+            began = time.perf_counter() if trace is not None else 0.0
+            walked = None
+            if step.strategy == GRAPH:
+                walked = self._search_step(step, query, k, params, seed)
+            if walked is None:
+                # A scan, or a sealed block whose build is still deferred
+                # (it has no graph yet).
+                found = brute_force_topk(
+                    self._store, self._metric, query, k, step.rows, norms=self._scan
+                )
+                strategy, visited, work, tier = BRUTE, 0, len(step.rows), "hot"
+            else:
+                found, strategy, visited, work, tier = walked
+                graph_blocks += 1
+            partials.append(found)
+            nodes += visited
+            evals += work
+            if trace is not None:
+                self._trace_step(
+                    trace, step, strategy, found, visited, work, tier, began, started
+                )
+        merged_positions, merged_dists = merge_partial_results(partials, k)
+        span = positions.stop - positions.start
+        stats = QueryStats(len(selected), graph_blocks, nodes, evals, span)
 
         _SEARCH_QUERIES.inc()
         _SEARCH_BLOCKS.inc(stats.blocks_searched)
@@ -731,153 +712,115 @@ class MultiLevelBlockIndex:
         ids = (local.start + best[top]).astype(np.int64)
         return (ids, exact[top]), shortlist_size
 
-    def _scan_steps(
-        self,
-        steps: list[PlanStep],
-        query: np.ndarray,
-        k: int,
-        trace: QueryTrace | None = None,
-        t0: float = 0.0,
-    ) -> tuple[tuple[np.ndarray, np.ndarray], QueryStats]:
-        """One exact scan over the adjacent rows of consecutive ``brute`` steps.
-
-        Each block is charged its own rows (the counting convention of
-        :mod:`repro.core.results`), so the stats equal those of scanning
-        the blocks one by one.  With a ``trace`` every block appends an
-        event, sharing the scan's time by row count, and the scan appends
-        one plan step.
-        """
-        rows = range(steps[0].rows.start, steps[-1].rows.stop)
-        began = time.perf_counter() if trace is not None else 0.0
-        found = brute_force_topk(
-            self._store, self._metric, query, k, rows, norms=self._scan
-        )
-        stats = QueryStats()
-        for step in steps:
-            stats = stats.merged_with(QueryStats.for_brute_force(len(step.rows)))
-        if trace is not None:
-            seconds = time.perf_counter() - began
-            started = began - t0
-            for step in steps:
-                block, lo, hi = step.block, step.rows.start, step.rows.stop
-                built, tier = block.backend is not None, "hot"
-                if not built and self._tiering is not None:
-                    # A scanned slice of a *cold* block is still a built
-                    # block; label it so explain output is honest.
-                    built = self._tiering.is_cold(block)
-                    if built:
-                        tier = "cold"
-                share = seconds * (hi - lo) / len(rows)
-                trace.record_block(
-                    block_index=block.index,
-                    height=block.height,
-                    positions=(block.positions.start, block.positions.stop),
-                    window=(lo, hi),
-                    built=built,
-                    strategy=BRUTE,
-                    reason=step.reason if built else "open-leaf",
-                    nodes_visited=0,
-                    distance_evaluations=hi - lo,
-                    seconds=share,
-                    n_results=int(np.count_nonzero((found[0] >= lo) & (found[0] < hi))),
-                    started=started,
-                    tier=tier,
-                )
-                started += share
-            trace.record_step(
-                BRUTE,
-                tuple(step.block.index for step in steps),
-                (rows.start, rows.stop),
-                scan_us(len(rows), self.dim),
-                seconds * 1e6,
-            )
-        return found, stats
-
-    def _search_block(
+    def _search_step(
         self,
         step: PlanStep,
         query: np.ndarray,
         k: int,
         params: SearchParams,
-        rng: np.random.Generator,
-        trace: QueryTrace | None = None,
-        t0: float = 0.0,
-    ) -> tuple[tuple[np.ndarray, np.ndarray], QueryStats]:
-        """Search one block the plan graph-searches (Algorithm 2).
+        seed: int,
+    ) -> tuple[tuple[np.ndarray, np.ndarray], str, int, int, str] | None:
+        """Search the block of one ``graph`` step (Algorithm 2).
 
-        A cold block answers ADC-first from its code sidecar when
-        ``cold_codes`` is on; otherwise it is promoted and its graph walked.
-        A sealed block whose build is still deferred has no graph yet and
-        is scanned exactly.  With a ``trace`` the block appends one event
-        and one plan step, its ``started`` an offset from the query start
-        ``t0``.
+        A cold block is promoted and walked, or answered from its PQ codes
+        where :meth:`~repro.tiering.manager.TierManager.answers_from_codes`
+        says so.  Returns ``(found, strategy, nodes_visited,
+        distance_evaluations, tier)``, or ``None`` when the block has no
+        graph yet (its build is deferred).
         """
-        block, local = step.block, step.rows
-        span = len(local)
-        began = time.perf_counter() if trace is not None else 0.0
-        tier = "hot"
-        found = None
-        if (
-            self._tiering is not None
-            and block.backend is None
-            and self._config.cold_codes
-            and span > params.cold_adc_threshold
-        ):
-            # Compressed cold-tier search: scan the block's resident PQ
-            # codes (ADC) and exact-rerank a small shortlist from the
-            # memmap — no promotion, no budget churn.  Falls through to
-            # the promote path when the sidecar is missing or torn.
-            view = self._tiering.resolve_compressed(block)
-            if view is not None:
-                found, rerank_rows = self._adc_topk(view, query, k, local, params)
-                self._tiering.note_adc(rerank_rows)
-                stats = QueryStats.for_graph_search(
-                    nodes_visited=0,
-                    distance_evaluations=span + rerank_rows,
+        (block,) = step.blocks
+        rows = step.rows
+        backend, tier = block.backend, "hot"
+        if self._tiering is not None:
+            if self._tiering.answers_from_codes(block, len(rows), params):
+                # Scan the block's resident PQ codes (ADC) and rerank a small
+                # shortlist exactly from the memmap: no promotion, no budget
+                # churn.  A missing or torn sidecar promotes instead.
+                view = self._tiering.resolve_compressed(block)
+                if view is not None:
+                    found, reranked = self._adc_topk(view, query, k, rows, params)
+                    self._tiering.note_adc(reranked)
+                    return found, "adc", 0, len(rows) + reranked, "cold"
+            # Hot blocks resolve too (hit counter, LRU recency).
+            backend, tier = self._tiering.resolve(block)
+        if backend is None:
+            return None
+        offset = block.positions.start
+        allowed = range(rows.start - offset, rows.stop - offset)
+        outcome = backend.search(
+            query, k, allowed, params, np.random.default_rng(int(seed))
+        )
+        found = ((offset + outcome.ids).astype(np.int64), outcome.dists)
+        return found, GRAPH, outcome.nodes_visited, outcome.distance_evaluations, tier
+
+    def _trace_step(
+        self,
+        trace: QueryTrace,
+        step: PlanStep,
+        strategy: str,
+        found: tuple[np.ndarray, np.ndarray],
+        nodes: int,
+        evals: int,
+        tier: str,
+        began: float,
+        t0: float,
+    ) -> None:
+        """Append one executed step to ``trace``, and one event per block.
+
+        Each block's event covers its rows inside the step's and takes the
+        step's time by row count (a scan charges each block its own rows);
+        ``started`` is an offset from the query start ``t0``.
+        """
+        seconds = time.perf_counter() - began
+        rows = step.rows
+        started = began - t0
+        for block, reason in zip(step.blocks, step.reasons):
+            lo = max(rows.start, block.positions.start)
+            hi = min(rows.stop, block.positions.stop)
+            share = seconds * (hi - lo) / len(rows)
+            built = True
+            if strategy == BRUTE:
+                # A scanned slice of a *cold* block is still a built block;
+                # label it so explain output is honest.
+                cold = (
+                    block.backend is None
+                    and self._tiering is not None
+                    and self._tiering.is_cold(block)
                 )
-                strategy, reason, tier = "adc", "cold-codes", "cold"
-        if found is None:
-            backend = block.backend
-            if self._tiering is not None:
-                # Cold block: promote through the tier.  Hot blocks go
-                # through resolve too (hit counter, LRU recency).
-                backend, tier = self._tiering.resolve(block)
-            if backend is None:
-                return self._scan_steps([step], query, k, trace=trace, t0=t0)
-            offset = block.positions.start
-            allowed = range(local.start - offset, local.stop - offset)
-            outcome = backend.search(query, k, allowed, params, rng)
-            found = ((offset + outcome.ids).astype(np.int64), outcome.dists)
-            stats = QueryStats.for_graph_search(
-                nodes_visited=outcome.nodes_visited,
-                distance_evaluations=outcome.distance_evaluations,
+                built = block.backend is not None or cold
+                tier = "cold" if cold else "hot"
+                nodes, evals = 0, hi - lo
+                if not built:
+                    reason = "open-leaf"
+            elif strategy == "adc":
+                reason = "cold-codes"
+            trace.blocks.append(
+                BlockSearchEvent(
+                    block_index=block.index,
+                    height=block.height,
+                    positions=(block.positions.start, block.positions.stop),
+                    window=(lo, hi),
+                    built=built,
+                    strategy=strategy,
+                    reason=reason,
+                    nodes_visited=nodes,
+                    distance_evaluations=evals,
+                    seconds=share,
+                    n_results=int(np.count_nonzero((found[0] >= lo) & (found[0] < hi))),
+                    started=started,
+                    tier=tier,
+                )
             )
-            strategy, reason = GRAPH, step.reason
-        if trace is not None:
-            seconds = time.perf_counter() - began
-            trace.record_block(
-                block_index=block.index,
-                height=block.height,
-                positions=(block.positions.start, block.positions.stop),
-                window=(local.start, local.stop),
-                built=True,
-                strategy=strategy,
-                reason=reason,
-                nodes_visited=stats.nodes_visited,
-                distance_evaluations=stats.distance_evaluations,
-                seconds=seconds,
-                n_results=len(found[0]),
-                started=began - t0,
-                tier=tier,
-            )
-            trace.record_step(
+            started += share
+        trace.plan.append(
+            PlanStepEvent(
                 strategy,
-                (block.index,),
-                (local.start, local.stop),
+                tuple(block.index for block in step.blocks),
+                (rows.start, rows.stop),
                 step.est_us,
                 seconds * 1e6,
             )
-        return found, stats
+        )
 
     def _validate_query(self, query: np.ndarray, k: int) -> None:
         if len(self._store) == 0:

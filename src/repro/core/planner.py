@@ -5,9 +5,10 @@ a query; the planner decides *how* each one is searched.  For every
 selected block :func:`plan` prices an exact scan of the block's in-window
 rows against one search of the block's index and keeps the cheaper, so a
 query is never slower than a plain scan of its window by more than the
-planning itself.  Consecutive scan steps cover adjacent row ranges
-(selection returns disjoint blocks in time order), and :func:`runs` groups
-them so the executor answers each group with a single coalesced scan.
+planning itself.  It emits one step per executed unit: selection returns
+disjoint blocks in time order, so a run of adjacent scanned blocks covers
+one contiguous row span and forms one ``brute`` step (one scan), and each
+walked block forms one ``graph`` step.
 
 The costs come from the committed table below, never from timings taken
 at run time: a plan is a pure function of the block spans and capacities,
@@ -25,8 +26,9 @@ does; ``10**9`` scans everything).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .block import Block
 from .config import SearchParams
@@ -70,28 +72,32 @@ FILTER_SLOPE = 0.08
 FILTER_CAP = 3.0
 
 
-class PlanStep(NamedTuple):
-    """How one selected block is searched.
+@dataclass(slots=True)
+class PlanStep:
+    """One executed unit of a query's plan.
 
     Attributes:
-        block: The selected block.
-        strategy: ``"brute"`` (exact scan of ``rows``) or ``"graph"``
-            (search the block's index; the executor answers a cold block
-            from its PQ codes instead when compressed cold-tier search is
-            on, see ``docs/quantization.md``).
-        rows: Store positions of the block inside the query window.
-        reason: Why the strategy: ``"open-leaf"`` (the block is not full,
-            so it has no index), ``"short-window"`` (span at or below a
-            pinned ``brute_force_threshold``), ``"scan-cheaper"`` (the
-            cost table prices the scan lower) or ``"built-block"``.
-        est_us: The cost table's price of the chosen strategy, in
-            microseconds on the reference host.
+        strategy: ``"brute"`` (one exact scan of ``rows``) or ``"graph"``
+            (one search of the block's index; the executor answers a cold
+            block from its PQ codes instead when compressed cold-tier
+            search is on, see ``docs/quantization.md``).
+        rows: The store positions the step searches, one contiguous span.
+        blocks: The span of the selection the step covers, in time
+            order: a run of adjacent scanned blocks, or the one walked
+            block.
+        reasons: Why each block got the strategy: ``"open-leaf"`` (the
+            block is not full, so it has no index), ``"short-window"``
+            (span at or below a pinned ``brute_force_threshold``),
+            ``"scan-cheaper"`` (the cost table prices the scan lower) or
+            ``"built-block"``.
+        est_us: The cost table's price of the step, in microseconds on
+            the reference host.
     """
 
-    block: Block
     strategy: str
     rows: range
-    reason: str
+    blocks: tuple[Block, ...]
+    reasons: tuple[str, ...]
     est_us: float
 
 
@@ -141,7 +147,11 @@ def plan(
     dim: int,
     filled: int,
 ) -> list[PlanStep]:
-    """One :class:`PlanStep` per selected block, in selection order.
+    """The query's steps, in selection order.
+
+    Every block's strategy and reason are decided here, and nowhere else.
+    A run of adjacent scanned blocks forms one ``brute`` step and each
+    walked block one ``graph`` step, so the executor runs every step once.
 
     Args:
         selected: The search block set, in time order.
@@ -152,44 +162,43 @@ def plan(
         filled: Store length; a block reaching past it is the open leaf.
     """
     threshold = params.brute_force_threshold
-    steps = []
+    start, stop = window.start, window.stop
+    steps: list[PlanStep] = []
+    run = None  # the open ``brute`` step, while blocks keep scanning
     for block in selected:
+        # The block's in-window rows (conditionals: cheaper than max/min).
         lo, hi = block.positions.start, block.positions.stop
-        rows = range(max(window.start, lo), min(window.stop, hi, filled))
-        span = len(rows)
-        scan = scan_us(span, dim)
-        if hi > filled:
-            strategy, reason, est = BRUTE, "open-leaf", scan
+        lo = start if start > lo else lo
+        hi = stop if stop < hi else hi
+        hi = filled if filled < hi else hi
+        span = hi - lo if hi > lo else 0
+        if block.positions.stop > filled:
+            strategy, reason = BRUTE, "open-leaf"
         elif threshold is not None:
             if span <= threshold:
-                strategy, reason, est = BRUTE, "short-window", scan
+                strategy, reason = BRUTE, "short-window"
             else:
                 strategy, reason = GRAPH, "built-block"
-                est = graph_us(block.capacity, span, dim)
-        else:
-            walk = graph_us(block.capacity, span, dim)
-            if scan <= walk:
-                strategy, reason, est = BRUTE, "scan-cheaper", scan
-            else:
-                strategy, reason, est = GRAPH, "built-block", walk
-        steps.append(PlanStep(block, strategy, rows, reason, est))
-    return steps
-
-
-def runs(steps: Sequence[PlanStep]) -> list[range]:
-    """Index ranges into ``steps`` that execute as one unit each.
-
-    Consecutive ``brute`` steps form one run (their rows are adjacent, so
-    one scan answers them all); every other step is a run of its own.
-    """
-    out: list[range] = []
-    start = 0
-    for i in range(1, len(steps) + 1):
-        if (
-            i == len(steps)
-            or steps[i].strategy != BRUTE
-            or steps[i - 1].strategy != BRUTE
+        elif not walkable(block.capacity, dim) or scan_us(span, dim) <= graph_us(
+            block.capacity, span, dim
         ):
-            out.append(range(start, i))
-            start = i
-    return out
+            # A block that is not walkable scans without pricing a walk.
+            strategy, reason = BRUTE, "scan-cheaper"
+        else:
+            strategy, reason = GRAPH, "built-block"
+        if strategy == BRUTE and run is not None:
+            # Adjacent rows: one scan answers the whole run.
+            run.rows = range(run.rows.start, hi)
+            run.blocks += (block,)
+            run.reasons += (reason,)
+            continue
+        step = PlanStep(strategy, range(lo, hi), (block,), (reason,), 0.0)
+        steps.append(step)
+        run = step if strategy == BRUTE else None
+    for step in steps:
+        span = len(step.rows)
+        if step.strategy == BRUTE:
+            step.est_us = scan_us(span, dim)
+        else:
+            step.est_us = graph_us(step.blocks[0].capacity, span, dim)
+    return steps

@@ -126,8 +126,8 @@ class PlanStepEvent:
         blocks: Postorder ids of the blocks the step covered.
         rows: The store-position span the step searched.
         est_us: The planner's cost estimate for the step, in microseconds
-            (an ADC step keeps the estimate of the graph search it
-            replaced).
+            (an ADC step, or the scan of a block whose build is deferred,
+            keeps the estimate of the graph search it replaced).
         actual_us: Measured wall-clock microseconds.  Timing only, so
             excluded from :meth:`QueryTrace.signature` like ``est_us``.
     """
@@ -242,52 +242,6 @@ class QueryTrace:
                 reason=reason,
             )
         )
-
-    def record_block(
-        self,
-        block_index: int,
-        height: int,
-        positions: tuple[int, int],
-        window: tuple[int, int],
-        built: bool,
-        strategy: str,
-        reason: str,
-        nodes_visited: int,
-        distance_evaluations: int,
-        seconds: float,
-        n_results: int,
-        started: float = 0.0,
-        tier: str = "hot",
-    ) -> None:
-        """Append one per-block search event (called by ``MBI.search``)."""
-        self.blocks.append(
-            BlockSearchEvent(
-                block_index=block_index,
-                height=height,
-                positions=positions,
-                window=window,
-                built=built,
-                strategy=strategy,
-                reason=reason,
-                nodes_visited=nodes_visited,
-                distance_evaluations=distance_evaluations,
-                seconds=seconds,
-                n_results=n_results,
-                started=started,
-                tier=tier,
-            )
-        )
-
-    def record_step(
-        self,
-        strategy: str,
-        blocks: tuple[int, ...],
-        rows: tuple[int, int],
-        est_us: float,
-        actual_us: float,
-    ) -> None:
-        """Append one executed plan step (called by ``MBI.search``)."""
-        self.plan.append(PlanStepEvent(strategy, blocks, rows, est_us, actual_us))
 
     def record_shard(
         self,

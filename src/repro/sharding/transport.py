@@ -280,7 +280,11 @@ class HttpTransport(ShardTransport):
     def _request(
         self, method: str, path: str, payload: dict | None = None
     ) -> dict:
-        body = None if payload is None else json.dumps(payload)
+        body = (
+            None
+            if payload is None
+            else json.dumps(to_wire(payload), allow_nan=False)
+        )
         conn = self._connection()
         try:
             conn.request(

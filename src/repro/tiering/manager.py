@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..core.backends import BlockBackend, GraphBackend, get_builder, get_loader
-from ..core.config import TieringConfig
+from ..core.config import SearchParams, TieringConfig
 from ..core.planner import GRAPH
 from ..distances.fused import NormCache
 from ..exceptions import PersistenceError
@@ -390,33 +390,46 @@ class TierManager:
             _CODE_BYTES.set(self._cache.code_resident_bytes)
             self._publish_resident()
 
-    def note_selection(self, steps: Sequence["PlanStep"]) -> None:
+    def answers_from_codes(
+        self, block: "Block", rows: int, params: SearchParams
+    ) -> bool:
+        """Whether a ``graph`` step on ``block`` answers from its PQ codes.
+
+        True under ``cold_codes`` for a block with no hot backend whose
+        in-window ``rows`` exceed ``params.cold_adc_threshold``.  The
+        executor then scans the codes (a missing or torn sidecar falls back
+        to promotion, see :meth:`resolve_compressed`), and
+        :meth:`note_selection` does not prefetch the block.
+        """
+        return (
+            self._index._config.cold_codes
+            and block.backend is None
+            and rows > params.cold_adc_threshold
+        )
+
+    def note_selection(
+        self, steps: Sequence["PlanStep"], params: SearchParams
+    ) -> None:
         """Pin the blocks a query planned; prefetch the cold ones it walks.
 
-        Called after planning, before the blocks are searched: pinned
-        blocks survive eviction while the query is in flight, and (with
-        ``prefetch_selected``) cold blocks the plan graph-searches are
-        promoted up front.  A block the plan scans is never promoted: the
-        scan reads the shared store.  Blocks the query can answer
-        compressed (``cold_codes`` on, sidecar present, span above
-        ``cold_adc_threshold``) are not prefetched either — promoting
-        them would defeat the ADC path.
+        Called after planning, before the steps run: every block of every
+        step is pinned against eviction while the query is in flight, and
+        (with ``prefetch_selected``) the cold block of each ``graph`` step
+        is promoted up front.  A ``brute`` step is never promoted: the scan
+        reads the shared store.  Neither is a block the step answers from
+        its codes (:meth:`answers_from_codes`, sidecar present): promoting
+        it would defeat the ADC path.
         """
-        self._cache.pin(step.block.index for step in steps)
+        self._cache.pin(block.index for step in steps for block in step.blocks)
         if not self._config.prefetch_selected:
             return
-        cold_codes = self._index._config.cold_codes
-        adc_threshold = self._index._config.search.cold_adc_threshold
         for step in steps:
-            block = step.block
-            if (
-                step.strategy == GRAPH
-                and block.backend is None
-                and self.is_cold(block)
-            ):
+            if step.strategy != GRAPH:
+                continue
+            (block,) = step.blocks
+            if block.backend is None and self.is_cold(block):
                 if (
-                    cold_codes
-                    and len(step.rows) > adc_threshold
+                    self.answers_from_codes(block, len(step.rows), params)
                     and block.index not in self._bad_codes
                     and self._cold.has_codes(block.index)
                 ):

@@ -16,6 +16,7 @@ from a committed cost table.  Its contracts:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestCostModel:
         steps = planner.plan(selected, range(100, 3900), SearchParams(), 64, 4000)
         again = planner.plan(selected, range(100, 3900), SearchParams(), 64, 4000)
         assert steps == again
-        assert len(steps) == len(selected)
+        assert [b for step in steps for b in step.blocks] == selected
 
     def test_every_block_scans_at_the_benchmark_scale(self):
         # n = 4000, leaf 500, dim 64: whatever the window, whatever tau.
@@ -94,7 +95,7 @@ class TestCostModel:
         for rows in (range(16_000), range(400, 15_600)):  # f = 1.0 and 0.95
             (step,) = planner.plan([block], rows, SearchParams(), 64, 16_000)
             assert step.strategy == planner.GRAPH
-            assert step.reason == "built-block"
+            assert step.reasons == ("built-block",)
             assert step.est_us == planner.graph_us(16_000, len(rows), 64)
 
     def test_crossover_falls_as_the_dimension_grows(self):
@@ -110,7 +111,7 @@ class TestCostModel:
         block = _full_block(16_000)
         (step,) = planner.plan([block], range(0, 800), SearchParams(), 64, 16_000)
         assert step.strategy == planner.BRUTE
-        assert step.reason == "scan-cheaper"
+        assert step.reasons == ("scan-cheaper",)
 
     def test_graph_cost_grows_with_capacity_and_filtering(self):
         sizes = (500, 1000, 4000, 16_000, 64_000)
@@ -123,7 +124,7 @@ class TestCostModel:
     def test_open_leaf_always_scans(self):
         block = Block(index=0, height=0, positions=range(0, 100_000))
         (step,) = planner.plan([block], range(0, 90_000), SearchParams(), 64, 90_000)
-        assert (step.strategy, step.reason) == (planner.BRUTE, "open-leaf")
+        assert (step.strategy, step.reasons) == (planner.BRUTE, ("open-leaf",))
 
     def test_pinned_threshold_restores_the_fixed_rule(self):
         block = _full_block(16_000)
@@ -138,15 +139,24 @@ class TestCostModel:
             assert step.strategy == strategy
 
     def test_runs_group_adjacent_scans(self):
-        block = _full_block(10)
-        steps = [
-            planner.PlanStep(block, strategy, range(0), "", 0.0)
-            for strategy in ("brute", "brute", "graph", "brute", "graph", "graph")
+        # A pinned threshold of 50 scans the 10-row blocks and walks the
+        # 100-row ones: brute, brute, graph, brute, graph, graph.
+        blocks, lo = [], 0
+        for capacity in (10, 10, 100, 10, 100, 100):
+            blocks.append(Block(len(blocks), 0, range(lo, lo + capacity)))
+            lo += capacity
+        params = SearchParams(brute_force_threshold=50)
+        steps = planner.plan(blocks, range(0, lo), params, 64, lo)
+        assert [(s.strategy, s.blocks, s.rows, s.reasons) for s in steps] == [
+            (planner.BRUTE, tuple(blocks[0:2]), range(0, 20), ("short-window",) * 2),
+            (planner.GRAPH, (blocks[2],), range(20, 120), ("built-block",)),
+            (planner.BRUTE, (blocks[3],), range(120, 130), ("short-window",)),
+            (planner.GRAPH, (blocks[4],), range(130, 230), ("built-block",)),
+            (planner.GRAPH, (blocks[5],), range(230, 330), ("built-block",)),
         ]
-        assert planner.runs(steps) == [
-            range(0, 2), range(2, 3), range(3, 4), range(4, 5), range(5, 6)
-        ]
-        assert planner.runs([]) == []
+        assert steps[0].est_us == planner.scan_us(20, 64)
+        assert steps[1].est_us == planner.graph_us(100, 100, 64)
+        assert planner.plan([], range(0, lo), params, 64, lo) == []
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +272,26 @@ class TestTiering:
         assert registry.snapshot()["tier_promotions_total"] == before
 
 
+    def test_prefetch_follows_the_querys_adc_threshold(self, clustered_data, tmp_path):
+        # The config never answers from codes; the query's params always do.
+        # Prefetch must read the same rule as the executor, or it promotes
+        # the blocks the query then walks instead of scanning their codes.
+        vectors, timestamps, queries = clustered_data
+        config = small_mbi_config(leaf_size=100, cold_codes=True)
+        config = replace(config, search=replace(config.search, cold_adc_threshold=10**9))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("REPRO_MEMORY_BUDGET_MB", raising=False)
+            index = MultiLevelBlockIndex(vectors.shape[1], "euclidean", config)
+        index.extend(vectors, timestamps)
+        index.enable_tiering(memory_budget_mb=1e-4, directory=tmp_path / "tiers")
+        params = replace(config.search, brute_force_threshold=0, cold_adc_threshold=0)
+        registry = get_registry()
+        before = registry.snapshot()["tier_promotions_total"]
+        trace = index.explain(queries[0], 10, 0.0, 60.0, params=params)
+        assert {e.strategy for e in trace.blocks} == {"adc"}
+        assert registry.snapshot()["tier_promotions_total"] == before
+
+
 class TestWalkable:
     @given(
         leaf=st.integers(1, 1000),
@@ -290,33 +320,74 @@ def _draws(rng: np.random.Generator) -> list[int]:
     return rng.integers(0, 2**63 - 1, size=4).tolist()
 
 
-class TestAllScanShortcut:
+@pytest.fixture(scope="module")
+def adc_index(clustered_data, tmp_path_factory):
+    """Every built block cold, and every walked step answered from codes."""
+    vectors, timestamps, _ = clustered_data
+    config = small_mbi_config(leaf_size=100, cold_codes=True)
+    config = replace(config, search=replace(config.search, cold_adc_threshold=0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("REPRO_MEMORY_BUDGET_MB", raising=False)
+        index = MultiLevelBlockIndex(vectors.shape[1], "euclidean", config)
+    index.extend(vectors, timestamps)
+    index.enable_tiering(
+        memory_budget_mb=1e-4, directory=tmp_path_factory.mktemp("adc") / "tiers"
+    )
+    return index
+
+
+def _configure(name, mp, planned_index, adc_index):
+    """``(index, params)`` for one executor configuration, patching ``mp``."""
+    if name in ("walks", "tiered"):
+        # Rows priced 20x: the larger blocks walk (and, tiered, answer
+        # from codes).  ``walkable`` caches the unpatched table.
+        mp.setattr(planner, "SCAN_US_PER_ROW", planner.SCAN_US_PER_ROW * 20)
+        mp.setattr(planner, "walkable", planner.walkable.__wrapped__)
+    if name == "walkable":
+        mp.setattr(planner, "walkable", lambda capacity, dim: True)
+    index = adc_index if name == "tiered" else planned_index
+    params = None
+    if name.startswith("pinned-"):
+        threshold = int(name.removeprefix("pinned-"))
+        params = replace(index.config.search, brute_force_threshold=threshold)
+    return index, params
+
+
+class TestSingleExecutor:
     @given(
+        config=st.sampled_from(
+            ("planner", "pinned-0", "pinned-64", "walkable", "walks", "tiered")
+        ),
         query=st.integers(0, 19),
         t_start=st.floats(-5.0, 100.0),
         length=st.floats(0.0, 110.0),
         tau=st.sampled_from((None, 0.05, 0.5, 0.95, 1.0)),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_search_equals_the_planned_path(
-        self, planned_index, clustered_data, query, t_start, length, tau, seed
+        self, planned_index, adc_index, clustered_data,
+        config, query, t_start, length, tau, seed,
     ):
-        # ``explain`` is traced, so it always plans; an untraced ``search``
-        # of this index never does (no block is walkable at 1 600 rows).
+        # ``explain`` traces; tracing decides nothing, so an untraced
+        # ``search`` runs the same steps to the same answer.
         q = clustered_data[2][query]
         t_end = t_start + length
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = planned_index.explain(q, 10, t_start, t_end, rng=want_rng, tau=tau)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mbi_module, "plan", None)  # any planning call fails
-            got = planned_index.search(q, 10, t_start, t_end, rng=got_rng, tau=tau)
+            index, params = _configure(config, mp, planned_index, adc_index)
+            want = index.explain(
+                q, 10, t_start, t_end, params=params, rng=want_rng, tau=tau
+            )
+            got = index.search(
+                q, 10, t_start, t_end, params=params, rng=got_rng, tau=tau
+            )
         assert tuple(got.positions.tolist()) == want.result_positions
         assert tuple(got.distances.tolist()) == want.result_distances
         assert got.stats == want.stats
         assert _draws(got_rng) == _draws(want_rng)
 
-    def test_shortcut_scan_is_the_one_brute_force_call(
+    def test_all_scan_plan_is_one_brute_force_call(
         self, planned_index, clustered_data, monkeypatch
     ):
         calls = []
@@ -332,27 +403,7 @@ class TestAllScanShortcut:
         assert result.stats.window_size == len(rows)
         assert result.stats.blocks_searched >= 2
 
-    def test_pinned_threshold_and_walkable_blocks_plan(
-        self, planned_index, clustered_data, monkeypatch
-    ):
-        q = clustered_data[2][0]
-        planned = []
-        real_plan = mbi_module.plan
-
-        def recording(*args, **kwargs):
-            planned.append(args)
-            return real_plan(*args, **kwargs)
-
-        monkeypatch.setattr(mbi_module, "plan", recording)
-        planned_index.search(q, 10, 3.0, 97.0)
-        assert planned == []
-        planned_index.search(q, 10, 3.0, 97.0, params=SearchParams(brute_force_threshold=64))
-        assert len(planned) == 1
-        monkeypatch.setattr(mbi_module, "walkable", lambda capacity, dim: capacity >= 800)
-        planned_index.search(q, 10, 3.0, 97.0)
-        assert len(planned) == 2
-
-    def test_tiered_index_plans(self, monkeypatch, tmp_path):
+    def test_every_query_plans_once(self, planned_index, monkeypatch, tmp_path):
         index = _deferred_index(64, 4, 16)
         index.enable_tiering(memory_budget_mb=1e-4, directory=tmp_path / "tiers")
         planned = []
@@ -362,3 +413,5 @@ class TestAllScanShortcut:
         )
         index.search(np.zeros(4), 5, 3.0, 60.0)
         assert len(planned) == 1
+        planned_index.search(np.zeros(planned_index.dim), 5, 3.0, 60.0)
+        assert len(planned) == 2

@@ -8,6 +8,7 @@ decisions, and recovery histories.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -152,6 +153,47 @@ class TestBitIdentity:
                 for server in servers:
                     server.shutdown()
                     server.server_close()
+
+
+class _CapturingConnection:
+    """Stands in for the transport's ``HTTPConnection``; records each body."""
+
+    def __init__(self, reply: dict) -> None:
+        self.bodies: list[str] = []
+        self._reply = json.dumps(reply).encode()
+
+    def request(self, method, path, body=None, headers=None):
+        self.bodies.append(body)
+
+    def getresponse(self):
+        reply = self._reply
+
+        class Response:
+            status = 200
+
+            def read(self):
+                return reply
+
+        return Response()
+
+
+class TestStrictRequests:
+    def test_request_bodies_are_strict_json(self):
+        """An unbounded window travels as ``"-inf"``/``"inf"``, never bare."""
+        transport = HttpTransport(0, "127.0.0.1", 1)
+        conn = _CapturingConnection(
+            {"positions": [], "distances": [], "timestamps": []}
+        )
+        transport._local.conn = conn
+        transport.search(np.zeros(DIM), 5, float("-inf"), float("inf"), seed=3)
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        (body,) = conn.bodies
+        payload = json.loads(body, parse_constant=reject)
+        assert (payload["t_start"], payload["t_end"]) == ("-inf", "inf")
+        assert float(payload["t_start"]) == float("-inf")
 
 
 class TestPruning:

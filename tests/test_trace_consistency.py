@@ -152,8 +152,10 @@ class TestStrategyRule:
         monkeypatch.setattr(
             planner, "SCAN_US_PER_ROW", planner.SCAN_US_PER_ROW * 20
         )
+        # ``walkable`` caches its answers for the unpatched table.
+        monkeypatch.setattr(planner, "walkable", planner.walkable.__wrapped__)
         index = index_and_data[0]
-        saw_brute = saw_graph = False
+        saw_brute = saw_graph = saw_coalesced = False
         for trace in _traces(index_and_data, n=40, seed=7):
             assert trace.brute_force_threshold is None
             steps = planner.plan(
@@ -163,20 +165,35 @@ class TestStrategyRule:
                 index.dim,
                 len(index),
             )
-            assert len(steps) == len(trace.blocks)
-            for event, step in zip(trace.blocks, steps):
+            planned = [
+                (step, block, reason)
+                for step in steps
+                for block, reason in zip(step.blocks, step.reasons)
+            ]
+            assert len(planned) == len(trace.blocks)
+            for event, (step, block, reason) in zip(trace.blocks, planned):
+                rows = range(
+                    max(step.rows.start, block.positions.start),
+                    min(step.rows.stop, block.positions.stop),
+                )
                 assert event.strategy == step.strategy, (event, step)
-                assert event.window == (step.rows.start, step.rows.stop)
-                assert event.reason == step.reason
+                assert event.window == (rows.start, rows.stop)
+                assert event.reason == reason
                 if event.strategy == "brute":
                     saw_brute = True
                     assert event.reason in ("open-leaf", "scan-cheaper")
-                    assert event.distance_evaluations == len(step.rows)
+                    assert event.distance_evaluations == len(rows)
                 else:
                     saw_graph = True
             # Adjacent scanned blocks ran as one step of the executed plan.
-            assert len(trace.plan) == len(planner.runs(steps))
-        assert saw_brute and saw_graph
+            assert len(trace.plan) == len(steps)
+            for event, step in zip(trace.plan, steps):
+                assert event.blocks == tuple(block.index for block in step.blocks)
+                assert event.rows == (step.rows.start, step.rows.stop)
+                assert event.strategy == step.strategy
+            if len(trace.blocks) > len(steps):
+                saw_coalesced = True
+        assert saw_brute and saw_graph and saw_coalesced
 
     def test_selection_walk_selects_exactly_the_searched_blocks(
         self, index_and_data
