@@ -28,12 +28,23 @@ RowwiseFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _generic_rowwise(batch: BatchFn) -> RowwiseFn:
-    """Fallback rowwise kernel built from a batch kernel (Python loop)."""
+    """Fallback rowwise kernel built from a batch kernel (Python loop).
+
+    One ``batch`` call per run of equal consecutive query rows, so a flat
+    list of ``(query, candidate)`` pairs grouped by query (NN-descent's
+    merge gathers its pairs that way) costs one call per query.
+    """
 
     def rowwise(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        out = np.empty(candidates.shape[:2], dtype=np.float64)
-        for i, query in enumerate(queries):
-            out[i] = batch(query, candidates[i])
+        m, width = candidates.shape[:2]
+        out = np.empty((m, width), dtype=np.float64)
+        starts = np.flatnonzero(
+            np.r_[m > 0, (queries[1:] != queries[:-1]).any(axis=1)]
+        )
+        for start, stop in zip(starts, [*starts[1:], m]):
+            out[start:stop] = batch(
+                queries[start], candidates[start:stop].reshape(-1, candidates.shape[2])
+            ).reshape(stop - start, width)
         return out
 
     return rowwise

@@ -13,8 +13,11 @@ kernels:
    leaves (:mod:`repro.graph.rp_forest`);
 2. each round, for a chunk of nodes, gather candidates = current neighbors
    + neighbors-of-neighbors + sampled reverse neighbors;
-3. compute all candidate distances with one rowwise kernel call, merge with
-   the current lists, de-duplicate, and keep the ``k`` best per node;
+3. merge them with the current lists in slabs of rows: drop self references
+   and every repeat of an id (the sampled neighbours are listed already,
+   and two-hop ids repeat) *before* computing any distance, evaluate only the fresh candidates with
+   one rowwise kernel call over a flat gather of ``(node, id)`` pairs, and
+   keep the ``k`` best per node;
 4. stop when fewer than ``delta * n * k`` list entries changed in a round.
 
 The result rows are sorted ascending by distance, which downstream code
@@ -47,8 +50,12 @@ class NNDescentParams:
             round as extra candidates.
         rp_trees: Number of RP trees used to seed the initial lists
             (0 disables tree initialisation).
-        chunk_size: Nodes processed per vectorised batch; a memory/speed
-            trade-off only, results are identical for any value.
+        chunk_size: Nodes joined per vectorised batch.  Not only a
+            memory/speed trade-off: a later chunk of a round reads the
+            lists that earlier chunks of the same round already updated,
+            so another value builds another (equally valid) graph and may
+            take another number of rounds.  Within a chunk the merge is
+            row-local, so how it splits the chunk internally never matters.
     """
 
     n_neighbors: int = 16
@@ -80,14 +87,19 @@ class NNDescentResult:
         neighbor_ids: ``(n, k)`` int32 ids, each row sorted by distance.
         neighbor_dists: ``(n, k)`` float64 distances aligned with the ids.
         n_iters: Improvement rounds actually executed.
-        distance_evaluations: Total candidate distances computed (a proxy for
-            build cost used by the scalability benches).
+        distance_evaluations: Distances actually computed: the random
+            initial lists plus every fresh candidate of every merge, not
+            the repeats a merge discards unevaluated (a proxy for build
+            cost used by the scalability benches).
     """
 
     neighbor_ids: np.ndarray
     neighbor_dists: np.ndarray
     n_iters: int
     distance_evaluations: int
+
+
+_SLAB_ROWS = 128
 
 
 def _merge_candidates(
@@ -112,23 +124,75 @@ def _merge_candidates(
         ``(new_ids, new_dists, changed)`` where ``changed`` counts list
         entries that differ from ``current_ids``.
     """
+    new_ids, new_dists, _ = _merge_counted(
+        node_ids, current_ids, current_dists, candidate_ids, points, metric
+    )
+    return new_ids, new_dists, int(np.count_nonzero(new_ids != current_ids))
+
+
+def _merge_counted(
+    node_ids: np.ndarray,
+    current_ids: np.ndarray,
+    current_dists: np.ndarray,
+    candidate_ids: np.ndarray,
+    points: np.ndarray,
+    metric: Metric,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`_merge_candidates` returning the distances computed third.
+
+    Every step is row-local, so a chunk is merged in slabs of
+    ``_SLAB_ROWS`` rows: the result is the same for any slab size and
+    the gathered candidate vectors stay small (about 2 MB at d = 64).
+    """
+    if len(node_ids) > _SLAB_ROWS:
+        slabs = [
+            _merge_counted(
+                node_ids[start : start + _SLAB_ROWS],
+                current_ids[start : start + _SLAB_ROWS],
+                current_dists[start : start + _SLAB_ROWS],
+                candidate_ids[start : start + _SLAB_ROWS],
+                points,
+                metric,
+            )
+            for start in range(0, len(node_ids), _SLAB_ROWS)
+        ]
+        return (
+            np.concatenate([slab[0] for slab in slabs]),
+            np.concatenate([slab[1] for slab in slabs]),
+            sum(slab[2] for slab in slabs),
+        )
+
     k = current_ids.shape[1]
-    cand_dists = metric.rowwise(points[node_ids], points[candidate_ids])
     all_ids = np.concatenate([current_ids, candidate_ids], axis=1)
-    all_dists = np.concatenate([current_dists, cand_dists], axis=1)
+    width = all_ids.shape[1]
 
-    # Drop self references.
-    all_dists[all_ids == node_ids[:, None]] = np.inf
+    # Disable self references and every copy of an id but its first in
+    # column order (a current-list entry before any candidate) *before*
+    # any distance is computed.  Sorting the keys ``id << shift | column``
+    # puts each id's copies in column order, as a stable sort by id does.
+    drop = all_ids == node_ids[:, None]
+    shift = width.bit_length()
+    keys = (all_ids.astype(np.int64) << shift) | np.arange(width)
+    keys.sort(axis=1)
+    sorted_ids = keys >> shift
+    repeats = np.flatnonzero(sorted_ids[:, 1:] == sorted_ids[:, :-1])
+    rows = repeats // (width - 1)
+    columns = np.take(keys, repeats + rows + 1) & ((1 << shift) - 1)
+    np.put(drop, rows * width + columns, True)
 
-    # De-duplicate per row: sort by id, mark repeats, disable them.  All
-    # copies of one id share the same distance, so keeping the first is safe.
-    id_order = np.argsort(all_ids, axis=1, kind="stable")
-    sorted_ids = np.take_along_axis(all_ids, id_order, axis=1)
-    dup = np.zeros_like(sorted_ids, dtype=bool)
-    dup[:, 1:] = sorted_ids[:, 1:] == sorted_ids[:, :-1]
-    dup_flat = np.zeros_like(dup)
-    np.put_along_axis(dup_flat, id_order, dup, axis=1)
-    all_dists[dup_flat] = np.inf
+    # Current entries keep their stored distances; only the surviving
+    # candidates are evaluated, as one flat gather of (node, id) pairs.
+    fresh = np.flatnonzero(~drop[:, k:])
+    rows = fresh // (width - k)
+    fresh_dists = metric.rowwise(
+        points[node_ids[rows]], points[np.take(candidate_ids, fresh)][:, None, :]
+    )[:, 0]
+    all_dists = np.full(
+        all_ids.shape, np.inf, dtype=np.result_type(current_dists, fresh_dists)
+    )
+    all_dists[:, :k] = current_dists
+    all_dists[:, :k][drop[:, :k]] = np.inf
+    np.put(all_dists, fresh + (rows + 1) * k, fresh_dists)
 
     # Keep the k best per row, ties broken by id for determinism.
     part = np.argpartition(all_dists, k - 1, axis=1)[:, :k]
@@ -137,9 +201,7 @@ def _merge_candidates(
     order = np.lexsort((part_ids, part_dists), axis=1)
     new_dists = np.take_along_axis(part_dists, order, axis=1)
     new_ids = np.take_along_axis(part_ids, order, axis=1)
-
-    changed = int(np.count_nonzero(new_ids != current_ids))
-    return new_ids, new_dists, changed
+    return new_ids, new_dists, len(fresh)
 
 
 def _random_init(
@@ -167,17 +229,19 @@ def _rp_tree_refine(
     params: NNDescentParams,
     metric: Metric,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> int:
     """Fold RP-tree leaf co-membership into the initial neighbor lists.
 
     Each tree's leaves are combined into one ``(n, max_leaf)`` candidate
     matrix (rows padded with the node's own id, which the merge discards)
     so the whole refinement runs as a handful of chunked merges instead of
-    one merge per leaf.
+    one merge per leaf.  ``ids`` and ``dists`` are updated in place; the
+    return value is the number of distances computed.
     """
     n = len(points)
     k = params.n_neighbors
     leaf_size = max(2 * k, 8)
+    evaluations = 0
     for _ in range(params.rp_trees):
         leaves = rp_forest_candidate_pairs(points, leaf_size, 1, rng)
         max_leaf = max(len(leaf) for leaf in leaves)
@@ -188,10 +252,11 @@ def _rp_tree_refine(
             candidates[leaf, : len(leaf)] = leaf
         for start in range(0, n, params.chunk_size):
             chunk = np.arange(start, min(start + params.chunk_size, n))
-            ids[chunk], dists[chunk], _ = _merge_candidates(
+            ids[chunk], dists[chunk], computed = _merge_counted(
                 chunk, ids[chunk], dists[chunk], candidates[chunk], points, metric
             )
-    return ids, dists
+            evaluations += computed
+    return evaluations
 
 
 def _reverse_samples(
@@ -259,7 +324,7 @@ def nn_descent(
     ids, dists = _random_init(points, k, metric, rng)
     evaluations = ids.size
     if params.rp_trees > 0:
-        ids, dists = _rp_tree_refine(points, ids, dists, params, metric, rng)
+        evaluations += _rp_tree_refine(points, ids, dists, params, metric, rng)
 
     n_iters = 0
     threshold = max(1, int(params.delta * n * k))
@@ -284,14 +349,15 @@ def nn_descent(
                 sampled = ids[chunk]
             two_hop = ids[sampled].reshape(len(chunk), -1)
             candidates = np.concatenate([sampled, two_hop, reverse[chunk]], axis=1)
-            evaluations += candidates.size
-            new_ids, new_dists, changed = _merge_candidates(
+            new_ids, new_dists, computed = _merge_counted(
                 chunk, ids[chunk], dists[chunk], candidates, points, metric
             )
-            row_changed[chunk] = (new_ids != ids[chunk]).any(axis=1)
+            evaluations += computed
+            changed = new_ids != ids[chunk]
+            row_changed[chunk] = changed.any(axis=1)
+            total_changed += int(np.count_nonzero(changed))
             ids[chunk] = new_ids
             dists[chunk] = new_dists
-            total_changed += changed
         if total_changed <= threshold:
             break
         # Wake a node when it changed, a forward neighbor changed, or a

@@ -3,8 +3,11 @@
 The quantization family of ANN indexes (IVFADC, ScaNN — Section 2.1 of the
 paper) needs a coarse quantizer; this is the standard tool.  The
 implementation is deliberately plain: k-means++ initialisation, vectorised
-assignment via the cross-distance kernel, empty-cluster re-seeding, and a
-relative-shift stopping rule.
+assignment via the cross-distance expansion (the points' squared norms are
+computed once per call), a centroid update that sums every cluster in one
+weighted ``bincount``, empty-cluster re-seeding, and a relative-shift stopping
+rule.  Each centroid equals ``points[assignments == c].mean(axis=0)`` to
+the bit.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..distances.kernels import squared_euclidean_cross
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,53 @@ class KMeansResult:
     n_iters: int
 
 
+def _squared_norms(points: np.ndarray) -> np.ndarray:
+    """``(n, 1)`` squared row norms, as the cross-distance kernel has them."""
+    return np.einsum("ij,ij->i", points, points)[:, None]
+
+
+def _sq_distances(
+    points: np.ndarray, points_sq: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """``squared_euclidean_cross(points, centroids)`` given ``points_sq``.
+
+    The same expression and matrix product as the kernel, so the same
+    bits; only the points' norms are reused and the doubling is in place.
+    """
+    product = points @ centroids.T
+    product *= 2.0
+    sq = points_sq + np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    sq -= product
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def _cluster_means(
+    points: np.ndarray, assignments: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """``(k, d)`` mean of each cluster's points (rows of empty ones: 0).
+
+    ``points[assignments == c].mean(axis=0)`` adds a cluster's rows to
+    ``0.0`` one after another in row order.  One weighted ``bincount``
+    over the row-major ``(cluster, column)`` bins adds them in the same
+    order.  A single column is the exception: NumPy sums a contiguous
+    vector pairwise, so each cluster's column is summed as a contiguous
+    slice.
+    """
+    k, dim = len(counts), points.shape[1]
+    if dim == 1:
+        column = points[np.argsort(assignments, kind="stable"), 0]
+        ends = np.cumsum(counts)
+        sums = np.array(
+            [[column[end - count : end].sum()] for end, count in zip(ends, counts)]
+        )
+    else:
+        bins = (assignments[:, None] * dim + np.arange(dim)).ravel()
+        sums = np.bincount(bins, weights=points.ravel(), minlength=k * dim)
+        sums = sums.reshape(k, dim)
+    return sums / np.maximum(counts, 1)[:, None]
+
+
 def kmeans_plus_plus(
     points: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -41,7 +89,8 @@ def kmeans_plus_plus(
     centroids = np.empty((k, points.shape[1]), dtype=points.dtype)
     first = int(rng.integers(0, n))
     centroids[0] = points[first]
-    closest_sq = squared_euclidean_cross(points, centroids[:1])[:, 0]
+    points_sq = _squared_norms(points)
+    closest_sq = _sq_distances(points, points_sq, centroids[:1])[:, 0]
     for i in range(1, k):
         total = float(closest_sq.sum())
         if total <= 0.0:
@@ -51,7 +100,7 @@ def kmeans_plus_plus(
         probabilities = closest_sq / total
         choice = int(rng.choice(n, p=probabilities))
         centroids[i] = points[choice]
-        new_sq = squared_euclidean_cross(points, centroids[i : i + 1])[:, 0]
+        new_sq = _sq_distances(points, points_sq, centroids[i : i + 1])[:, 0]
         np.minimum(closest_sq, new_sq, out=closest_sq)
     return centroids
 
@@ -84,30 +133,27 @@ def kmeans(
         rng = np.random.default_rng(0)
 
     centroids = kmeans_plus_plus(points, k, rng)
+    points_sq = _squared_norms(points)
     scale = float(points.var(axis=0).sum()) or 1.0
     assignments = np.zeros(n, dtype=np.int64)
     n_iters = 0
     for _ in range(max_iters):
         n_iters += 1
-        distances = squared_euclidean_cross(points, centroids)
+        distances = _sq_distances(points, points_sq, centroids)
         assignments = distances.argmin(axis=1)
-        new_centroids = centroids.copy()
         counts = np.bincount(assignments, minlength=k)
-        for cluster in range(k):
-            if counts[cluster] == 0:
-                # Re-seed an empty cluster at the point farthest from its
-                # assigned centroid.
-                worst = int(
-                    distances[np.arange(n), assignments].argmax()
-                )
-                new_centroids[cluster] = points[worst]
-                continue
-            new_centroids[cluster] = points[assignments == cluster].mean(axis=0)
+        new_centroids = _cluster_means(points, assignments, counts)
+        empty = counts == 0
+        if empty.any():
+            # Re-seed every empty cluster at the point farthest from its
+            # assigned centroid.
+            worst = int(distances[np.arange(n), assignments].argmax())
+            new_centroids[empty] = points[worst]
         shift = float(((new_centroids - centroids) ** 2).sum()) / (k * scale)
         centroids = new_centroids
         if shift < tol:
             break
-    distances = squared_euclidean_cross(points, centroids)
+    distances = _sq_distances(points, points_sq, centroids)
     assignments = distances.argmin(axis=1)
     inertia = float(distances[np.arange(n), assignments].sum())
     return KMeansResult(

@@ -278,12 +278,25 @@ class HttpTransport(ShardTransport):
         return conn
 
     def _request(
-        self, method: str, path: str, payload: dict | None = None
+        self,
+        method: str,
+        path: str,
+        payload: dict | None = None,
+        *,
+        finite: bool = False,
     ) -> dict:
+        """Send ``payload`` as strict JSON and decode the reply.
+
+        ``finite=True`` says the payload holds no non-finite float, so it
+        is encoded as it is instead of through :func:`to_wire`, which
+        visits every value in Python; the bytes are the same.
+        """
         body = (
             None
             if payload is None
-            else json.dumps(to_wire(payload), allow_nan=False)
+            else json.dumps(
+                payload if finite else to_wire(payload), allow_nan=False
+            )
         )
         conn = self._connection()
         try:
@@ -315,16 +328,21 @@ class HttpTransport(ShardTransport):
         return self._request("GET", f"/shard/info?stripe_size={stripe_size}")
 
     def ingest(self, vectors: np.ndarray, timestamps: np.ndarray) -> int:
-        """Batch ``POST /ingest``; returns the shard's new record count."""
+        """Batch ``POST /ingest``; returns the shard's new record count.
+
+        A finite batch skips :func:`to_wire`'s per-float walk; a batch
+        with a non-finite value still takes it, and the shard answers it
+        as before.
+        """
+        vectors = np.asarray(vectors, dtype=np.float64)
+        timestamps = np.asarray(timestamps, dtype=np.float64)
         reply = self._request(
             "POST",
             "/ingest",
-            {
-                "vectors": np.asarray(vectors, dtype=np.float64).tolist(),
-                "timestamps": np.asarray(
-                    timestamps, dtype=np.float64
-                ).tolist(),
-            },
+            {"vectors": vectors.tolist(), "timestamps": timestamps.tolist()},
+            finite=bool(
+                np.isfinite(vectors).all() and np.isfinite(timestamps).all()
+            ),
         )
         return int(reply["positions"][1])
 

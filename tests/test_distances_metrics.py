@@ -85,6 +85,25 @@ class TestMetricObject:
                 rows[i], custom.batch(queries[i], candidates[i])
             )
 
+    def test_generic_rowwise_batches_each_run_of_one_query(self):
+        """A flat gather of pairs grouped by query costs one call per query."""
+        calls = []
+
+        def batch(q, pts):
+            calls.append(len(pts))
+            return np.abs(pts - q).sum(axis=1)
+
+        custom = Metric(name="test-runs", pairwise=None, batch=batch, cross=None)
+        rng = np.random.default_rng(2)
+        nodes = rng.standard_normal((4, 3))
+        owner = np.array([0, 0, 0, 1, 2, 2, 0, 3])
+        pairs = rng.standard_normal((len(owner), 1, 3))
+        rows = custom.rowwise(nodes[owner], pairs)
+        assert calls == [3, 1, 2, 1, 1]
+        for i, node in enumerate(owner):
+            np.testing.assert_array_equal(rows[i], batch(nodes[node], pairs[i]))
+        assert custom.rowwise(nodes[:0], pairs[:0]).shape == (0, 1)
+
     def test_builtin_metrics_have_specialised_rowwise(self):
         for metric in (EUCLIDEAN, SQEUCLIDEAN, ANGULAR, INNER_PRODUCT):
             assert metric.rowwise is not None

@@ -13,6 +13,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     MBIConfig,
@@ -29,6 +31,8 @@ from repro.exceptions import (
 from repro.faultinject import Action, get_failpoints
 from repro.graph import GraphConfig
 from repro.observability.trace import QueryTrace
+from repro.observability.tracing import to_wire
+from repro.service import IndexService
 from repro.sharding import HttpTransport, make_worker_server
 
 DIM = 8
@@ -194,6 +198,59 @@ class TestStrictRequests:
         payload = json.loads(body, parse_constant=reject)
         assert (payload["t_start"], payload["t_end"]) == ("-inf", "inf")
         assert float(payload["t_start"]) == float("-inf")
+
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda dim: st.lists(
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=dim,
+                    max_size=dim,
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_finite_ingest_bodies_match_the_wire_encoding(self, rows):
+        """A finite batch skips ``to_wire`` and sends the same bytes."""
+        vectors = np.asarray(rows, dtype=np.float64)
+        timestamps = np.arange(len(rows), dtype=np.float64) / 3
+        transport = HttpTransport(0, "127.0.0.1", 1)
+        conn = _CapturingConnection({"positions": [0, len(rows)]})
+        transport._local.conn = conn
+        assert transport.ingest(vectors, timestamps) == len(rows)
+        payload = {"vectors": vectors.tolist(), "timestamps": timestamps.tolist()}
+        assert conn.bodies == [json.dumps(to_wire(payload), allow_nan=False)]
+
+    def test_non_finite_ingest_is_refused_over_http(self, tmp_path):
+        """A batch with NaN or inf still reaches the shard, which refuses it."""
+        service = IndexService.open(
+            tmp_path / "shard",
+            dim=DIM,
+            mbi_config=_config(),
+            config=ServiceConfig(fsync="never"),
+        )
+        server = make_worker_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            transport = HttpTransport(0, "127.0.0.1", server.server_address[1])
+            vectors, timestamps = _stream()
+            assert transport.ingest(vectors[:3], timestamps[:3]) == 3
+            for bad in (np.nan, np.inf, -np.inf):
+                batch = vectors[3:5].copy()
+                batch[0, 2] = bad
+                with pytest.raises(ConnectionError, match="400"):
+                    transport.ingest(batch, timestamps[3:5])
+            assert len(service.index) == 3
+            transport.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
 
 
 class TestPruning:
