@@ -4,8 +4,9 @@ This is the ``BruteForce`` step of Algorithm 1, shared by the BSBF baseline
 and by MBI when it hits a non-full leaf block.  The scan runs through the
 fused norm-expansion kernel of :mod:`repro.distances.fused` — for euclidean
 metrics ``|p - q|^2 = |p|^2 - 2 <p, q> + |q|^2`` with the ``sqrt`` applied
-only to the final ``k`` survivors — followed by one ``argpartition``: the
-fastest exact method for small ranges.
+only to the final ``k`` survivors — followed by one top-k selection
+(:func:`~repro.distances.top_k_smallest`: a stable sort on short ranges,
+``argpartition`` on long ones): the fastest exact method for small ranges.
 
 Callers that scan the same store repeatedly (BSBF, MBI's open-leaf path)
 pass their :class:`~repro.distances.StoreNormCache` so per-row norms are

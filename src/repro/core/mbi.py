@@ -353,13 +353,13 @@ class MultiLevelBlockIndex:
                 self._build_block(block)
 
     def extend(self, vectors: np.ndarray, timestamps: np.ndarray) -> range:
-        """Insert a timestamp-sorted batch; returns the position range."""
-        vectors = np.asarray(vectors)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if len(vectors) != len(timestamps):
-            raise ValueError(
-                f"got {len(vectors)} vectors but {len(timestamps)} timestamps"
-            )
+        """Insert a timestamp-sorted batch; returns the position range.
+
+        The batch is checked whole before its first row goes in
+        (:meth:`~repro.storage.VectorStore.check_batch`), so a refused batch
+        leaves the index as it was.
+        """
+        vectors, timestamps = self._store.check_batch(vectors, timestamps)
         start = len(self._store)
         for vector, timestamp in zip(vectors, timestamps):
             self.insert(vector, float(timestamp))
@@ -545,10 +545,11 @@ class MultiLevelBlockIndex:
             trace=trace,
         )
         steps = plan(selected, positions, params, self.dim, filled)
+        prefetched: frozenset[int] = frozenset()
         if self._tiering is not None:
             # Pin the window's blocks against eviction and (optionally)
             # promote the cold ones the plan will walk.
-            self._tiering.note_selection(steps, params)
+            prefetched = self._tiering.note_selection(steps, params)
         partials: list[tuple[np.ndarray, np.ndarray]] = []
         graph_blocks = nodes = evals = 0
         for step in steps:
@@ -560,7 +561,9 @@ class MultiLevelBlockIndex:
             began = time.perf_counter() if trace is not None else 0.0
             walked = None
             if step.strategy == GRAPH:
-                walked = self._search_step(step, query, k, params, seed)
+                walked = self._search_step(
+                    step, query, k, params, seed, prefetched
+                )
             if walked is None:
                 # A scan, or a sealed block whose build is still deferred
                 # (it has no graph yet).
@@ -719,14 +722,18 @@ class MultiLevelBlockIndex:
         k: int,
         params: SearchParams,
         seed: int,
+        prefetched: frozenset[int],
     ) -> tuple[tuple[np.ndarray, np.ndarray], str, int, int, str] | None:
         """Search the block of one ``graph`` step (Algorithm 2).
 
         A cold block is promoted and walked, or answered from its PQ codes
         where :meth:`~repro.tiering.manager.TierManager.answers_from_codes`
-        says so.  Returns ``(found, strategy, nodes_visited,
-        distance_evaluations, tier)``, or ``None`` when the block has no
-        graph yet (its build is deferred).
+        says so.  ``prefetched`` holds the blocks this query's
+        :meth:`~repro.tiering.manager.TierManager.note_selection` promoted;
+        they are labelled ``promoted``, as a promotion on the miss is.
+        Returns ``(found, strategy, nodes_visited, distance_evaluations,
+        tier)``, or ``None`` when the block has no graph yet (its build is
+        deferred).
         """
         (block,) = step.blocks
         rows = step.rows
@@ -743,6 +750,8 @@ class MultiLevelBlockIndex:
                     return found, "adc", 0, len(rows) + reranked, "cold"
             # Hot blocks resolve too (hit counter, LRU recency).
             backend, tier = self._tiering.resolve(block)
+            if block.index in prefetched:
+                tier = "promoted"
         if backend is None:
             return None
         offset = block.positions.start

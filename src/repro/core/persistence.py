@@ -17,7 +17,7 @@ import numpy as np
 
 from ..distances.fused import StoreNormCache
 from ..distances.metrics import resolve_metric
-from ..exceptions import PersistenceError
+from ..exceptions import PersistenceError, VectorInputError
 from ..faultinject import failpoint
 from ..graph.builder import GraphConfig
 from ..graph.hnsw import HNSWParams
@@ -110,8 +110,9 @@ def load_index(path: str | Path) -> MultiLevelBlockIndex:
     """Reconstruct an index from a snapshot written by :func:`save_index`.
 
     Raises:
-        PersistenceError: If the file is missing, unreadable, or from an
-            unsupported format version.
+        PersistenceError: If the file is missing, unreadable, from an
+            unsupported format version, or holds a row or timestamp the
+            store refuses (a non-finite one).
     """
     path = Path(path)
     failpoint("snapshot.load")
@@ -154,7 +155,14 @@ def load_index(path: str | Path) -> MultiLevelBlockIndex:
     loader = get_loader(config.backend)
     index = MultiLevelBlockIndex(int(header["dim"]), metric, config)
     if len(vectors):
-        index._store = VectorStore.from_arrays(vectors, timestamps)
+        try:
+            index._store = VectorStore.from_arrays(vectors, timestamps)
+        except VectorInputError as error:
+            # Only a snapshot taken before the store refused non-finite
+            # rows and timestamps can hold one.
+            raise PersistenceError(
+                f"snapshot {path} holds rows the store refuses: {error}"
+            ) from error
         # The scan cache binds the store at construction; re-bind it to the
         # loaded store (per-row norms are recomputed deterministically from
         # the same float32 data, so answers match the pre-snapshot index).

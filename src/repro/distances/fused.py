@@ -124,19 +124,48 @@ def range_dots(points: np.ndarray, lo: int, hi: int, q: np.ndarray) -> np.ndarra
     range, the thread count or the host's core count.
     """
     n = hi - lo
-    dots = np.empty(n, dtype=np.result_type(points.dtype, q.dtype))
     body = n - n % 4
     step = max(4, (GEMV_SERIAL_ELEMENTS - 1) // points.shape[1] // 4 * 4)
-    for start in range(0, body, step):
-        stop = min(start + step, body)
-        np.matmul(points[lo + start : lo + stop], q, out=dots[start:stop])
-    if body < n:
-        if len(points) >= 4:
-            start = max(0, hi - 4)
-            dots[body:] = (points[start : start + 4] @ q)[lo + body - start : hi - start]
-        else:
-            dots[body:] = points[lo + body : hi] @ q
-    return dots
+    if body <= step:
+        dots = points[lo : lo + body] @ q
+    else:
+        dots = np.empty(body, dtype=np.result_type(points.dtype, q.dtype))
+        for start in range(0, body, step):
+            stop = min(start + step, body)
+            np.matmul(points[lo + start : lo + stop], q, out=dots[start:stop])
+    if body == n:
+        return dots
+    if len(points) >= 4:
+        start = max(0, hi - 4)
+        tail = (points[start : start + 4] @ q)[lo + body - start : hi - start]
+    else:
+        tail = points[lo + body : hi] @ q
+    return np.concatenate((dots, tail))
+
+
+def _rank_from_dots(
+    kind: str,
+    dots: np.ndarray,
+    row_data: np.ndarray | None,
+    q_sq: float,
+    q_norm: float,
+) -> np.ndarray:
+    """Rank distances of a fused ``kind`` from the rows' dots with the query.
+
+    ``q_sq`` is the query's squared norm (used by the squared kind) and
+    ``q_norm`` its norm (used by the angular kind).
+    """
+    if kind == _KIND_SQ:
+        rank = row_data - 2.0 * dots
+        rank += q_sq
+        np.maximum(rank, 0.0, out=rank)
+        return rank
+    if kind == _KIND_ANGULAR:
+        if q_norm == 0.0:
+            return np.ones(len(dots), dtype=RANK_DTYPE)
+        sims = dots / (row_data * q_norm)
+        return 1.0 - sims
+    return -dots
 
 
 def _row_data_for(kind: str, points: np.ndarray) -> np.ndarray | None:
@@ -184,17 +213,7 @@ class FusedQuery:
             )
         if dots is None:
             dots = rows @ self.q  # float64 via dtype promotion
-        if kind == _KIND_SQ:
-            rank = row_data - 2.0 * dots
-            rank += self.q_sq
-            np.maximum(rank, 0.0, out=rank)
-            return rank
-        if kind == _KIND_ANGULAR:
-            if self.q_norm == 0.0:
-                return np.ones(len(rows), dtype=RANK_DTYPE)
-            sims = dots / (row_data * self.q_norm)
-            return 1.0 - sims
-        return -dots
+        return _rank_from_dots(kind, dots, row_data, self.q_sq, self.q_norm)
 
     def gather(self, idx: np.ndarray) -> np.ndarray:
         """Rank distances from the query to ``points[idx]`` (one fused call)."""
@@ -434,15 +453,34 @@ class StoreNormCache:
         Returns ``(positions, distances)`` sorted ascending by distance,
         ties broken by position — the :func:`~repro.distances.top_k_smallest`
         convention, applied in rank space (valid because the rank transform
-        is strictly monotone).
+        is strictly monotone).  Only the ``k`` survivors are converted back
+        to true distances.
         """
         lo, hi = positions.start, positions.stop
         if lo >= hi:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        fq = self.query(query)
-        rank = fq.range(lo, hi)
+        kind = self._kind
+        if kind == _KIND_GENERIC:
+            fq = self.query(query)
+            rank = fq.range(lo, hi)
+            best = top_k_smallest(rank, k)
+            return (lo + best).astype(np.int64), fq.finalize(rank[best])
+        # The same arithmetic as ``self.query(query).range(lo, hi)`` without
+        # binding a FusedQuery.  The rows are re-read from the store's live
+        # prefix, never its capacity buffer: ``range_dots`` picks its tail
+        # kernel by the length of the array it is given.
+        self._sync()
+        q = np.asarray(query, dtype=np.float64).ravel()
+        dots = range_dots(self._store.slice(0, len(self._store)), lo, hi, q)
+        self.evaluations += hi - lo
+        q_sq = float(q @ q) if kind == _KIND_SQ else 0.0
+        q_norm = float(np.sqrt(q @ q)) if kind == _KIND_ANGULAR else 0.0
+        rank = _rank_from_dots(kind, dots, self._row_data[lo:hi], q_sq, q_norm)
         best = top_k_smallest(rank, k)
-        return (lo + best).astype(np.int64), fq.finalize(rank[best])
+        dists = rank[best]
+        if self._sqrt:
+            dists = np.sqrt(dists)  # the squared rank is clamped at 0 already
+        return (best + lo).astype(np.int64, copy=False), dists
 
     def topk_batch(
         self, queries: np.ndarray, k: int, positions: range

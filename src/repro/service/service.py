@@ -58,7 +58,6 @@ from ..exceptions import (
     PersistenceError,
     ServiceClosedError,
     ServiceError,
-    TimestampOrderError,
     VectorInputError,
 )
 from ..faultinject import failpoint
@@ -344,8 +343,10 @@ class IndexService:
         required.
 
         Raises:
-            PersistenceError: On unrecoverable on-disk state (WAL gaps or
-                mid-file corruption).
+            PersistenceError: On unrecoverable on-disk state (WAL gaps,
+                mid-file corruption, or a record the index refuses, such
+                as an infinite timestamp that ingest accepted before it
+                checked timestamps for finiteness).
             ServiceError: If a fresh start is requested without ``dim``.
         """
         data_dir = Path(data_dir)
@@ -399,7 +400,16 @@ class IndexService:
                 raise PersistenceError(
                     f"WAL replay expected record {applied}, got {global_index}"
                 )
-            index.insert(record.vector, record.timestamp)
+            try:
+                index.insert(record.vector, record.timestamp)
+            except VectorInputError as error:
+                # Only a log written before ingest refused non-finite
+                # timestamps can hold such a record.  Replaying past it
+                # would drop an acknowledged row, so recovery stops here.
+                raise PersistenceError(
+                    f"WAL record {global_index} cannot be applied ({error}); "
+                    "the log and the snapshots are left as they are"
+                ) from error
             applied += 1
             replayed += 1
         if segments:
@@ -488,60 +498,58 @@ class IndexService:
         Raises:
             ServiceClosedError: After :meth:`close` has begun.
             DimensionMismatchError / TimestampOrderError /
-            VectorInputError: On invalid input.
+            VectorInputError: On invalid input (a non-finite component or
+            timestamp is a ``VectorInputError``).
+        """
+        vector = np.asarray(vector)
+        if vector.ndim != 1:
+            actual = vector.shape[-1] if vector.ndim else 0
+            raise DimensionMismatchError(self._index.dim, int(actual))
+        return self.ingest_batch(vector[None, :], np.array([float(timestamp)])).start
+
+    def ingest_batch(
+        self, vectors: np.ndarray, timestamps: np.ndarray
+    ) -> range:
+        """Durably ingest a timestamp-sorted batch; returns the positions.
+
+        All or nothing on invalid input: every row is checked (dimension,
+        finite components and timestamp, time order within the batch and
+        against the newest stored row) before the first WAL append, so a
+        refused batch leaves the log and the index as they were and can be
+        corrected and retried without duplicating rows.
+
+        Raises:
+            ServiceClosedError / DimensionMismatchError /
+            TimestampOrderError / VectorInputError: As :meth:`ingest`.
         """
         if self._closed:
             raise ServiceClosedError("service is closed; ingest rejected")
         with self._ingest_lock:
             if self._closed:
                 raise ServiceClosedError("service is closed; ingest rejected")
-            vector = np.ascontiguousarray(vector, dtype=np.float32)
-            if vector.ndim != 1 or vector.shape[0] != self._index.dim:
-                actual = vector.shape[-1] if vector.ndim else 0
-                raise DimensionMismatchError(self._index.dim, int(actual))
-            if not np.all(np.isfinite(vector)):
-                raise VectorInputError("vector contains non-finite components")
-            timestamp = float(timestamp)
-            if timestamp != timestamp:  # NaN
-                raise VectorInputError("timestamp is NaN")
-            if timestamp < self._index.store.latest_timestamp:
-                raise TimestampOrderError(
-                    f"timestamp {timestamp} precedes latest ingested "
-                    f"timestamp {self._index.store.latest_timestamp}"
-                )
-            self._wal.append(vector, timestamp)  # durable first
-            # The classic crash window: the record is durable but not yet
-            # applied.  A fault here must be healed by WAL replay.
-            failpoint("service.ingest_apply")
-            with self._rwlock.write():
-                position, chain = self._index.insert_deferred(
-                    vector, timestamp
-                )
-            self._applied += 1
-            _INGESTED.inc()
-            if chain:
-                self._submit_build(chain)
-            if (
-                self._config.snapshot_every
-                and self._applied % self._config.snapshot_every == 0
-            ):
-                self.checkpoint()
-        return position
-
-    def ingest_batch(
-        self, vectors: np.ndarray, timestamps: np.ndarray
-    ) -> range:
-        """Durably ingest a timestamp-sorted batch; returns the positions."""
-        vectors = np.asarray(vectors)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if len(vectors) != len(timestamps):
-            raise ValueError(
-                f"got {len(vectors)} vectors but {len(timestamps)} timestamps"
+            # Under the ingest lock the newest stored timestamp cannot move
+            # between this check and the appends below.
+            vectors, timestamps = self._index.store.check_batch(
+                vectors, timestamps
             )
-        with self._ingest_lock:
             start = self._applied
             for vector, timestamp in zip(vectors, timestamps):
-                self.ingest(vector, float(timestamp))
+                timestamp = float(timestamp)
+                self._wal.append(vector, timestamp)  # durable first
+                # The classic crash window: the record is durable but not
+                # yet applied.  A fault here must be healed by WAL replay.
+                failpoint("service.ingest_apply")
+                with self._rwlock.write():
+                    _, chain = self._index.insert_deferred(vector, timestamp)
+                self._applied += 1
+                _INGESTED.inc()
+                if chain:
+                    self._submit_build(chain)
+                if (
+                    self._config.snapshot_every
+                    and self._applied % self._config.snapshot_every == 0
+                ):
+                    self.checkpoint()
             return range(start, self._applied)
 
     def _submit_build(self, chain: list) -> None:

@@ -12,6 +12,7 @@ resolved to half-open position ranges with :meth:`VectorStore.resolve_window`.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -58,15 +59,21 @@ def _as_vector_array(
         raise VectorInputError(
             f"expected a {expect_ndim}-d array, got shape {array.shape}"
         )
+    if not np.isfinite(array).all():
+        raise VectorInputError(
+            "vectors contain non-finite components; every distance to such "
+            "a row is NaN or infinite"
+        )
     return array
 
 
 def _checked_timestamp(timestamp: float) -> float:
     timestamp = float(timestamp)
-    if np.isnan(timestamp):
+    if not math.isfinite(timestamp):
         raise VectorInputError(
-            "timestamp is NaN; NaN compares false against every bound and "
-            "would silently break the sorted-by-time invariant"
+            f"timestamp is {timestamp}; NaN compares false against every "
+            "bound, and after an infinite timestamp no finite one could "
+            "follow, so either would break the sorted-by-time invariant"
         )
     return timestamp
 
@@ -135,7 +142,8 @@ class VectorStore:
         Raises:
             DimensionMismatchError: If the vector has the wrong dimension.
             VectorInputError: If the payload is non-numeric, has the wrong
-                rank, or the timestamp is NaN.
+                rank or a non-finite component, or the timestamp is not
+                finite.
             TimestampOrderError: If ``timestamp`` precedes the latest one.
         """
         vector = _as_vector_array(vector, self._dtype, expect_ndim=1)
@@ -153,16 +161,21 @@ class VectorStore:
         self._size += 1
         return self._size - 1
 
-    def extend(self, vectors: np.ndarray, timestamps: np.ndarray) -> range:
-        """Append a batch of timestamped vectors; returns their position range.
+    def check_batch(
+        self, vectors: np.ndarray, timestamps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The batch as stored (vectors, float64 timestamps), or raise.
 
-        The batch itself must be sorted by timestamp and start no earlier
-        than the latest stored timestamp.
+        Raises what :meth:`extend` raises and changes nothing, so a caller
+        that appends a batch one row at a time (the index's per-row
+        inserts, the service's WAL-first ingest) can refuse a bad batch as
+        a whole before its first row goes in.
 
         Raises:
             DimensionMismatchError: If vectors have the wrong dimension.
             VectorInputError: If the payload is non-numeric, has the wrong
-                rank, or any timestamp is NaN.
+                rank or a non-finite component, or any timestamp is not
+                finite.
             TimestampOrderError: If the batch violates time order.
         """
         vectors = _as_vector_array(vectors, self._dtype, expect_ndim=2)
@@ -183,11 +196,11 @@ class VectorStore:
                 f"got {len(vectors)} vectors but {len(timestamps)} timestamps"
             )
         if len(vectors) == 0:
-            return range(self._size, self._size)
-        if np.any(np.isnan(timestamps)):
+            return vectors, timestamps
+        if not np.isfinite(timestamps).all():
             raise VectorInputError(
-                "batch contains NaN timestamps; NaN would silently break "
-                "the sorted-by-time invariant"
+                "batch contains NaN or infinite timestamps; either would "
+                "break the sorted-by-time invariant"
             )
         if np.any(np.diff(timestamps) < 0):
             raise TimestampOrderError("batch timestamps must be non-decreasing")
@@ -196,6 +209,16 @@ class VectorStore:
                 f"batch starts at {float(timestamps[0])}, before latest stored "
                 f"timestamp {self.latest_timestamp}"
             )
+        return vectors, timestamps
+
+    def extend(self, vectors: np.ndarray, timestamps: np.ndarray) -> range:
+        """Append a batch of timestamped vectors; returns their position range.
+
+        The batch itself must be sorted by timestamp and start no earlier
+        than the latest stored timestamp; it is checked whole
+        (:meth:`check_batch`) before any row is stored.
+        """
+        vectors, timestamps = self.check_batch(vectors, timestamps)
         start = self._size
         self._ensure_capacity(self._size + len(vectors))
         self._vectors[start : start + len(vectors)] = vectors
@@ -241,8 +264,8 @@ class VectorStore:
         paper's tie-breaking rule (Section 3.1).
         """
         ts = self._timestamps[: self._size]
-        lo = int(np.searchsorted(ts, window.start, side="left"))
-        hi = int(np.searchsorted(ts, window.end, side="left"))
+        lo = int(ts.searchsorted(window.start, side="left"))
+        hi = int(ts.searchsorted(window.end, side="left"))
         return range(lo, hi)
 
     def window_of(self, positions: range) -> TimeWindow:

@@ -409,7 +409,7 @@ class TierManager:
 
     def note_selection(
         self, steps: Sequence["PlanStep"], params: SearchParams
-    ) -> None:
+    ) -> frozenset[int]:
         """Pin the blocks a query planned; prefetch the cold ones it walks.
 
         Called after planning, before the steps run: every block of every
@@ -419,10 +419,15 @@ class TierManager:
         reads the shared store.  Neither is a block the step answers from
         its codes (:meth:`answers_from_codes`, sidecar present): promoting
         it would defeat the ADC path.
+
+        Returns the indices of the blocks this call promoted, so the query
+        can label them ``promoted`` (as :meth:`resolve` labels a promotion
+        on the miss) rather than ``hot``.
         """
         self._cache.pin(block.index for step in steps for block in step.blocks)
         if not self._config.prefetch_selected:
-            return
+            return frozenset()
+        promoted = set()
         for step in steps:
             if step.strategy != GRAPH:
                 continue
@@ -435,6 +440,8 @@ class TierManager:
                 ):
                     continue
                 self._promote(block)
+                promoted.add(block.index)
+        return frozenset(promoted)
 
     def note_built(self, block: "Block") -> None:
         """Account a freshly built/merged block and enforce the budget."""

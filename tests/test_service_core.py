@@ -11,6 +11,7 @@ from repro.core.config import MBIConfig, SearchParams
 from repro.exceptions import (
     AdmissionError,
     DeadlineExceededError,
+    DimensionMismatchError,
     InvalidQueryError,
     ServiceClosedError,
     ServiceError,
@@ -85,6 +86,63 @@ class TestIngest:
         vectors = rng.standard_normal((20, DIM))
         positions = service.ingest_batch(vectors, np.arange(20.0))
         assert positions == range(0, 20)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("vector", np.nan),
+            ("vector", np.inf),
+            ("timestamp", np.nan),
+            ("timestamp", np.inf),
+            ("timestamp", -np.inf),
+            ("order", None),  # row 2 goes back in time
+            ("before-latest", None),
+            ("dim", None),
+        ],
+    )
+    def test_refused_batch_leaves_store_and_wal_unchanged(self, service, bad):
+        feed(service, 5)
+        wal = sorted(service.data_dir.glob("wal-*.log"))
+        wal_bytes = [path.read_bytes() for path in wal]
+        rng = np.random.default_rng(2)
+        vectors = rng.standard_normal((3, DIM))
+        timestamps = np.array([5.0, 6.0, 7.0])
+        kind, value = bad
+        error = VectorInputError
+        if kind == "vector":
+            vectors[1, 3] = value
+        elif kind == "timestamp":
+            timestamps[1] = value
+        elif kind == "order":
+            timestamps[1] = 4.5
+            error = TimestampOrderError
+        elif kind == "before-latest":
+            timestamps[0] = 3.0
+            error = TimestampOrderError
+        else:
+            vectors = rng.standard_normal((3, DIM + 1))
+            error = DimensionMismatchError
+        with pytest.raises(error):
+            service.ingest_batch(vectors, timestamps)
+        assert len(service.index) == 5
+        assert service.applied_records == 5
+        assert sorted(service.data_dir.glob("wal-*.log")) == wal
+        assert [path.read_bytes() for path in wal] == wal_bytes
+        # The corrected batch goes in once, at the positions it would
+        # have had.
+        good = np.random.default_rng(3).standard_normal((3, DIM))
+        assert service.ingest_batch(good, [5.0, 6.0, 7.0]) == range(5, 8)
+        assert len(service.index) == 8
+
+    @pytest.mark.parametrize("timestamp", [np.inf, -np.inf])
+    def test_infinite_timestamp_is_refused(self, service, timestamp):
+        service.ingest(np.zeros(DIM), 0.0)
+        with pytest.raises(VectorInputError, match="infinite"):
+            service.ingest(np.zeros(DIM), timestamp)
+        with pytest.raises(VectorInputError, match="infinite"):
+            service.ingest_batch(np.zeros((2, DIM)), [1.0, timestamp])
+        # A later finite row is still accepted.
+        assert service.ingest(np.zeros(DIM), 1.0) == 1
 
     def test_closed_service_rejects_ingest(self, tmp_path):
         svc = IndexService.open(

@@ -22,9 +22,12 @@ import pytest
 
 from repro import MultiLevelBlockIndex
 from repro.core.config import MBIConfig, SearchParams
+from repro.core.persistence import load_index
+from repro.exceptions import PersistenceError
 from repro.graph.builder import GraphConfig
 from repro.observability.metrics import get_registry
 from repro.service import IndexService, ServiceConfig
+from repro.service.wal import WriteAheadLog
 
 DIM = 8
 LEAF = 16
@@ -104,6 +107,48 @@ class TestCleanRecovery:
         assert report.replayed_records == 15
         assert_same_answers(recovered.index, reference_index(95))
         recovered.close()
+
+    def test_wal_record_with_an_infinite_timestamp_stops_recovery(self, tmp_path):
+        # Ingest refuses an infinite timestamp; a log written before it
+        # did can still hold one.  Recovery refuses to open rather than
+        # drop the acknowledged row, and leaves the files as they are.
+        data = tmp_path / "d"
+        with IndexService.open(
+            data,
+            dim=DIM,
+            mbi_config=fast_config(),
+            config=ServiceConfig(fsync="never"),
+        ) as svc:
+            for i in range(20):
+                svc.ingest(stream_vector(i), float(i))
+        (segment,) = data.glob("wal-*.log")
+        wal = WriteAheadLog(segment, DIM, fsync="never")
+        wal.append(stream_vector(20), float("inf"))
+        wal.close()
+        before = {path.name: path.read_bytes() for path in data.iterdir()}
+        with pytest.raises(PersistenceError, match="WAL record 20"):
+            IndexService.open(data)
+        assert {path.name: path.read_bytes() for path in data.iterdir()} == before
+
+    def test_snapshot_with_an_infinite_timestamp_is_unreadable(self, tmp_path):
+        # A PersistenceError, so recovery skips it as it skips any
+        # unreadable snapshot, rather than failing with an input error.
+        data = tmp_path / "d"
+        with IndexService.open(
+            data,
+            dim=DIM,
+            mbi_config=fast_config(),
+            config=ServiceConfig(fsync="never"),
+        ) as svc:
+            for i in range(20):
+                svc.ingest(stream_vector(i), float(i))
+            snapshot = svc.checkpoint()
+        with np.load(snapshot) as archive:
+            arrays = dict(archive)
+        arrays["timestamps"][-1] = np.inf
+        np.savez(snapshot, **arrays)
+        with pytest.raises(PersistenceError, match="refuses"):
+            load_index(snapshot)
 
     def test_final_checkpoint_recovery_replays_nothing(self, tmp_path):
         svc = IndexService.open(

@@ -308,6 +308,45 @@ class TestEndpoints:
             conn.close()
 
 
+class TestIngestRefusals:
+    """A refused ``/ingest`` batch leaves the store and the WAL as they were."""
+
+    @pytest.mark.parametrize(
+        "vectors, timestamps",
+        [
+            ([[0.5] * DIM, [math.nan] * DIM], [100.0, 101.0]),
+            ([[0.5] * DIM, [0.6] * DIM], [100.0, math.inf]),
+            ([[0.5] * DIM, [0.6] * DIM], [100.0, "nan"]),  # to_wire's spelling
+            ([[0.5] * DIM, [0.6] * DIM], [100.0, 99.0]),
+        ],
+    )
+    def test_refused_batch_changes_nothing(self, served, vectors, timestamps):
+        svc, base = served
+        wal = {p.name: p.read_bytes() for p in svc.data_dir.glob("wal-*.log")}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base + "/ingest", {"vectors": vectors, "timestamps": timestamps})
+        assert excinfo.value.code == 400
+        assert len(svc.index) == 80
+        assert {p.name: p.read_bytes() for p in svc.data_dir.glob("wal-*.log")} == wal
+        status, body = post(
+            base + "/ingest",
+            {"vectors": [[0.5] * DIM, [0.6] * DIM], "timestamps": [100.0, 101.0]},
+        )
+        assert (status, body["positions"]) == (200, [80, 82])
+
+    @pytest.mark.parametrize("timestamp", [math.inf, "inf", "-inf"])
+    def test_infinite_timestamp_is_400(self, served, timestamp):
+        svc, base = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base + "/ingest", {"vector": [0.0] * DIM, "timestamp": timestamp})
+        assert excinfo.value.code == 400
+        assert len(svc.index) == 80
+        status, body = post(
+            base + "/ingest", {"vector": [0.0] * DIM, "timestamp": 100.0}
+        )
+        assert (status, body["position"]) == (200, 80)
+
+
 class TestRouterEndpoints(TestEndpoints):
     """The same cases against ``make_router_server`` over 2 shards."""
 

@@ -146,6 +146,44 @@ class TestInputValidation:
             store.extend(np.zeros((2, 2)), np.array([0.0, float("nan")]))
         assert len(store) == 0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_timestamp_rejected(self, bad):
+        # After an infinite timestamp no finite row could follow.
+        store = VectorStore(2)
+        store.append(np.zeros(2), 0.0)
+        with pytest.raises(VectorInputError, match="inf"):
+            store.append(np.zeros(2), bad)
+        with pytest.raises(VectorInputError, match="infinite"):
+            store.extend(np.zeros((2, 2)), np.array([1.0, bad]))
+        assert len(store) == 1
+        store.append(np.ones(2), 1.0)
+        assert store.latest_timestamp == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_non_finite_vector_rejected(self, bad):
+        # 1e39 overflows float32 storage to inf.
+        store = VectorStore(2)
+        with pytest.raises(VectorInputError, match="non-finite"):
+            store.append(np.array([0.0, bad]), 0.0)
+        rows = np.zeros((3, 2))
+        rows[2, 1] = bad
+        with pytest.raises(VectorInputError, match="non-finite"):
+            store.extend(rows, np.arange(3.0))
+        assert len(store) == 0
+
+    def test_index_refuses_non_finite_input(self):
+        from repro import MultiLevelBlockIndex
+
+        index = MultiLevelBlockIndex(2)
+        with pytest.raises(VectorInputError):
+            index.extend(np.zeros((2, 2)), np.array([0.0, np.inf]))
+        with pytest.raises(VectorInputError):
+            index.insert(np.array([np.nan, 0.0]), 0.0)
+        assert len(index) == 0
+        index.extend(np.ones((2, 2)), np.array([0.0, 1.0]))
+        assert len(index) == 2
+
     def test_extend_nonnumeric_timestamps_rejected(self):
         store = VectorStore(2)
         with pytest.raises(VectorInputError):

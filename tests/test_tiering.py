@@ -163,6 +163,26 @@ class TestBitIdentity:
         assert "promoted" in tiers
         assert "[promoted]" in trace.render()
 
+    def test_trace_marks_prefetched_blocks(self, clustered_data, tmp_path):
+        # Prefetch promotes a walked cold block before the walk; the walk
+        # then finds it hot, but this query is the one that promoted it.
+        vectors, timestamps, queries = clustered_data
+        tiered = _build(vectors, timestamps)
+        _enable(
+            tiered,
+            memory_budget_mb=1e-4,
+            directory=tmp_path / "tiers",
+            prefetch_selected=True,
+        )
+        before = tiered.tiering.stats()["promotions"]
+        trace = tiered.explain(
+            queries[0], 10, 0.0, 30.0, rng=np.random.default_rng(0)
+        )
+        promoted = [e for e in trace.blocks if e.tier == "promoted"]
+        assert promoted and all(e.strategy == "graph" for e in promoted)
+        assert tiered.tiering.stats()["promotions"] - before == len(promoted)
+        assert "[promoted]" in trace.render()
+
 
 class TestTornFiles:
     def test_torn_idx_rebuilds_bit_identically(self, clustered_data, tmp_path):
