@@ -326,8 +326,10 @@ def run_crash_scenario(
     failpoints = get_failpoints()
     acked = 0
     fault: str | None = None
-    try:
-        with failpoints.scope(scenario.failpoints):
+    # The crash happens inside the scope: a background build that abort()
+    # waits for writes under the same faults as the rest of the run.
+    with failpoints.scope(scenario.failpoints):
+        try:
             for i in range(scenario.n_ops):
                 try:
                     service.ingest(stream_vector(seed, i), float(i))
@@ -346,8 +348,8 @@ def run_crash_scenario(
                         min(_K, acked),
                         rng=np.random.default_rng(i),
                     )
-    finally:
-        service.abort()
+        finally:
+            service.abort()
 
     if scenario.failpoints and scenario.kind not in _ABSORBED_KINDS:
         _check(fault is not None, seed, "the scheduled fault never fired")

@@ -1,27 +1,24 @@
-"""Brute-force top-k over a contiguous position range, on fused kernels.
+"""Brute-force top-k over a contiguous position range.
 
-This is the ``BruteForce`` step of Algorithm 1, shared by the BSBF baseline
-and by MBI when it hits a non-full leaf block.  The scan runs through the
-fused norm-expansion kernel of :mod:`repro.distances.fused` — for euclidean
-metrics ``|p - q|^2 = |p|^2 - 2 <p, q> + |q|^2`` with the ``sqrt`` applied
-only to the final ``k`` survivors — followed by one top-k selection
-(:func:`~repro.distances.top_k_smallest`: a stable sort on short ranges,
-``argpartition`` on long ones): the fastest exact method for small ranges.
+This is the ``BruteForce`` step of Algorithm 1, shared by the BSBF baseline,
+SF's short-window fallback and MBI's scanned blocks.  It runs
+:func:`~repro.distances.fused.scan_topk`: one product in the store's dtype
+ranks the range, and a shortlist that provably holds the top ``k`` is
+reranked by the direct float64 formula, so the answer is exactly the stable
+sort of the direct distances over the whole range.
 
-Callers that scan the same store repeatedly (BSBF, MBI's open-leaf path)
-pass their :class:`~repro.distances.StoreNormCache` so per-row norms are
+Callers that scan the same store repeatedly (BSBF, MBI, SF) pass their
+:class:`~repro.distances.StoreNormCache` so the filter's per-row norms are
 computed once per appended row instead of once per query; one-shot callers
-omit it and get a transient cache whose per-row arithmetic is bit-identical
-(``row_sq_norms`` is computed independently per row), so cached and
-uncached scans return bitwise-equal answers.
+omit it and the norms of the range are computed for the call.  The answer is
+the same either way: the norms only decide how short the shortlist is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..distances.fused import NormCache, StoreNormCache
-from ..distances.kernels import top_k_smallest
+from ..distances.fused import StoreNormCache, scan_topk
 from ..distances.metrics import Metric
 from ..storage.vector_store import VectorStore
 
@@ -55,8 +52,5 @@ def brute_force_topk(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     if norms is not None:
         return norms.topk(query, k, positions)
-    cache = NormCache(store.slice(lo, hi), metric)
-    fused = cache.query(query)
-    rank = fused.range(0, hi - lo)
-    best = top_k_smallest(rank, k)
-    return (lo + best).astype(np.int64), fused.finalize(rank[best])
+    best, dists = scan_topk(metric, query, k, store.slice(lo, hi))
+    return (lo + best).astype(np.int64), dists

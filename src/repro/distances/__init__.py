@@ -8,6 +8,7 @@ from .fused import (
     as_fused_points,
     row_norms,
     row_sq_norms,
+    scan_topk,
 )
 from .kernels import top_k_smallest
 from .metrics import (
@@ -37,5 +38,6 @@ __all__ = [
     "resolve_metric",
     "row_norms",
     "row_sq_norms",
+    "scan_topk",
     "top_k_smallest",
 ]

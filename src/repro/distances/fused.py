@@ -32,6 +32,16 @@ Two cache flavours exist:
   rows are re-resolved from the store on every call so buffer reallocation
   inside the store can never be observed.
 
+**The exact scan.**  :func:`scan_topk` (behind :meth:`StoreNormCache.topk`)
+answers a window scan exactly: its result is the stable sort of the
+*direct* float64 formula over every row of the span, positions and
+distance bytes alike.  Long spans are ranked by one product in the store's
+own dtype, which is several times cheaper than a float32-by-float64
+product; every row whose rank lies within a proven rounding bound of the
+``k``-th is then recomputed directly.  The direct formula rounds each row
+on its own, so a row's distance does not depend on which rows share the
+scan or on the BLAS thread count.
+
 **Rank space.**  Fused kernels return *rank distances*: a monotone
 transform of the metric's distance (squared distance for euclidean, the
 distance itself otherwise) as a ``float64`` array — the documented output
@@ -49,6 +59,8 @@ charges — search code and kernels therefore agree by construction, and
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 
 import numpy as np
@@ -103,71 +115,6 @@ def row_norms(points: np.ndarray) -> np.ndarray:
     return np.where(norms == 0.0, 1.0, norms)
 
 
-# Elements (rows * dim) below which every OpenBLAS build runs a gemv on one
-# thread: 2304 * GEMM_MULTITHREAD_THRESHOLD, whose default is 4.
-GEMV_SERIAL_ELEMENTS = 2304 * 4
-
-
-def range_dots(points: np.ndarray, lo: int, hi: int, q: np.ndarray) -> np.ndarray:
-    """``points[lo:hi] @ q`` with each row's value independent of the range.
-
-    BLAS ``gemv`` kernels take rows four at a time and finish the last
-    ``n % 4`` of a call with another kernel that rounds differently, and a
-    threaded ``gemv`` splits its rows into one such call per thread.  The
-    same row scanned inside two differently shaped ranges (one coalesced
-    scan against per-block scans, one shard's rows against the whole
-    store's) could therefore get distances a last ulp apart.  Here every
-    row goes through the four-row kernel: the range is cut into calls of a
-    multiple of four rows, each small enough to stay on one thread
-    (:data:`GEMV_SERIAL_ELEMENTS`), and the tail rows are taken from a
-    four-row call ending at ``hi``.  The result does not depend on the
-    range, the thread count or the host's core count.
-    """
-    n = hi - lo
-    body = n - n % 4
-    step = max(4, (GEMV_SERIAL_ELEMENTS - 1) // points.shape[1] // 4 * 4)
-    if body <= step:
-        dots = points[lo : lo + body] @ q
-    else:
-        dots = np.empty(body, dtype=np.result_type(points.dtype, q.dtype))
-        for start in range(0, body, step):
-            stop = min(start + step, body)
-            np.matmul(points[lo + start : lo + stop], q, out=dots[start:stop])
-    if body == n:
-        return dots
-    if len(points) >= 4:
-        start = max(0, hi - 4)
-        tail = (points[start : start + 4] @ q)[lo + body - start : hi - start]
-    else:
-        tail = points[lo + body : hi] @ q
-    return np.concatenate((dots, tail))
-
-
-def _rank_from_dots(
-    kind: str,
-    dots: np.ndarray,
-    row_data: np.ndarray | None,
-    q_sq: float,
-    q_norm: float,
-) -> np.ndarray:
-    """Rank distances of a fused ``kind`` from the rows' dots with the query.
-
-    ``q_sq`` is the query's squared norm (used by the squared kind) and
-    ``q_norm`` its norm (used by the angular kind).
-    """
-    if kind == _KIND_SQ:
-        rank = row_data - 2.0 * dots
-        rank += q_sq
-        np.maximum(rank, 0.0, out=rank)
-        return rank
-    if kind == _KIND_ANGULAR:
-        if q_norm == 0.0:
-            return np.ones(len(dots), dtype=RANK_DTYPE)
-        sims = dots / (row_data * q_norm)
-        return 1.0 - sims
-    return -dots
-
-
 def _row_data_for(kind: str, points: np.ndarray) -> np.ndarray | None:
     if kind == _KIND_SQ:
         return row_sq_norms(points)
@@ -179,7 +126,7 @@ def _row_data_for(kind: str, points: np.ndarray) -> np.ndarray | None:
 class FusedQuery:
     """One query vector bound to a cache and a points view.
 
-    Produced by :meth:`NormCache.query` / :meth:`StoreNormCache.query`;
+    Produced by :meth:`NormCache.query`;
     its methods return **rank distances** (see module docstring) as
     ``float64`` arrays and charge the owning cache's ``evaluations``
     counter one unit per ranked row.
@@ -200,42 +147,26 @@ class FusedQuery:
 
     # ------------------------------------------------------------- kernels
 
-    def _rank_rows(
-        self,
-        rows: np.ndarray,
-        row_data: np.ndarray | None,
-        dots: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def gather(self, idx: np.ndarray) -> np.ndarray:
+        """Rank distances from the query to ``points[idx]`` (one fused call)."""
+        rows = self.points[idx]
+        self._owner.evaluations += len(rows)
         kind = self._kind
         if kind == _KIND_GENERIC:
             return np.asarray(
                 self._owner.metric.batch(self.q, rows), dtype=RANK_DTYPE
             )
-        if dots is None:
-            dots = rows @ self.q  # float64 via dtype promotion
-        return _rank_from_dots(kind, dots, row_data, self.q_sq, self.q_norm)
-
-    def gather(self, idx: np.ndarray) -> np.ndarray:
-        """Rank distances from the query to ``points[idx]`` (one fused call)."""
-        rows = self.points[idx]
-        row_data = self.row_data[idx] if self.row_data is not None else None
-        self._owner.evaluations += len(rows)
-        return self._rank_rows(rows, row_data)
-
-    def range(self, lo: int, hi: int) -> np.ndarray:
-        """Rank distances for the contiguous row range ``[lo, hi)`` (no gather copy).
-
-        A row's value does not depend on ``lo`` or ``hi``
-        (:func:`range_dots`), so one scan over adjacent ranges ranks every
-        row exactly as separate scans of each range would.
-        """
-        rows = self.points[lo:hi]
-        row_data = self.row_data[lo:hi] if self.row_data is not None else None
-        self._owner.evaluations += len(rows)
-        dots = None if self._kind == _KIND_GENERIC else range_dots(
-            self.points, lo, hi, self.q
-        )
-        return self._rank_rows(rows, row_data, dots)
+        dots = rows @ self.q  # float64 via dtype promotion
+        if kind == _KIND_SQ:
+            rank = self.row_data[idx] - 2.0 * dots
+            rank += self.q_sq
+            np.maximum(rank, 0.0, out=rank)
+            return rank
+        if kind == _KIND_ANGULAR:
+            if self.q_norm == 0.0:
+                return np.ones(len(dots), dtype=RANK_DTYPE)
+            return 1.0 - dots / (self.row_data[idx] * self.q_norm)
+        return -dots
 
     # ----------------------------------------------------------- rank space
 
@@ -377,30 +308,204 @@ class NormCache:
         return cache
 
 
+# ------------------------------------------------------------- exact scan
+
+#: A span of ``n`` rows of dimension ``d`` skips the filter of
+#: :func:`scan_topk` and takes the direct formula on every row when
+#: ``n * (d + DIRECT_ROW_COST) <= DIRECT_SPAN_COST``.  Both paths give the
+#: same answer, so this is a speed cutoff only.  The direct pass costs about
+#: ``d + 96`` units per row and the filter about 20 000 units whatever the
+#: span: measured on a 2-core x86 VM, the two break even at about 210 rows
+#: at dim 16, 150 at dim 64 and 20 at dim 960.
+DIRECT_ROW_COST = 96
+DIRECT_SPAN_COST = 20_000
+
+_U64 = float(np.finfo(np.float64).eps) / 2
+_TINY64 = float(np.finfo(np.float64).tiny)
+#: Norms below this take the direct path: the error bounds below assume
+#: squared norms far from float64 underflow.
+_NORM_FLOOR = 1e-100
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's ``gamma_n``: the relative error of an ``n``-term dot product."""
+    return n * u / (1.0 - n * u) if n * u < 0.5 else math.inf
+
+
+def _scan_row_data(kind: str, points: np.ndarray) -> np.ndarray:
+    """The per-row data the scan's filter reads: squared norms, or norms."""
+    return row_sq_norms(points) if kind == _KIND_SQ else row_norms(points)
+
+
+def _direct(kind: str, sqrt: bool, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Distances from ``q`` to ``rows`` by the direct float64 formula.
+
+    A row's value is a function of that row and ``q`` alone: each is an
+    ``einsum`` reduction over the row's own difference or product, never a
+    gemv, whose tail kernel rounds a row by its place in the call.  A
+    shortlist reranked here therefore gets the bytes a pass over the whole
+    span would give it.
+    """
+    if kind == _KIND_SQ:
+        diff = rows.astype(np.float64)
+        diff -= q
+        dist = np.einsum("ij,ij->i", diff, diff)
+        return np.sqrt(dist) if sqrt else dist
+    rows = np.asarray(rows, dtype=np.float64)
+    dots = np.einsum("ij,j->i", rows, q)
+    if kind == _KIND_IP:
+        return -dots
+    q_norm = np.sqrt(q @ q)
+    if q_norm == 0.0:
+        return np.ones(len(rows), dtype=RANK_DTYPE)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms[norms == 0.0] = 1.0
+    return 1.0 - dots / (norms * q_norm)
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_terms(dtype: np.dtype, d: int) -> tuple[float, ...]:
+    """Constants of :func:`_shortlist`'s error bound for ``d``-dim rows of ``dtype``.
+
+    ``(big, grow, rel, tiny, g64)``: the largest safe product magnitude;
+    the factor that turns a computed float64 norm into an upper bound; the
+    relative error of a product in ``dtype``, the query's rounding to
+    ``dtype`` included; the dtype's smallest normal, the unit of its
+    underflow error; and the direct formula's relative error.
+    """
+    info = np.finfo(dtype)
+    u = float(info.eps) / 2
+    return (
+        float(info.max) / 8,
+        1.0 + 4.0 * _gamma(d + 2, _U64),
+        u + _gamma(d, u) * (1 + u),
+        float(info.tiny),
+        _gamma(d + 3, _U64),
+    )
+
+
+def _shortlist(
+    kind: str, q: np.ndarray, k: int, rows: np.ndarray, row_data: np.ndarray
+) -> np.ndarray | None:
+    """Rows that may be among the ``k`` nearest, or ``None`` if unbounded.
+
+    Ranks every row with one product in the rows' own dtype, bounds each
+    rank's distance from the direct formula's value by ``err`` (the same
+    bound for every row of the span, from its largest norm), and keeps
+    every row whose lower bound ``rank - err`` is at most the ``k``-th
+    smallest upper bound ``rank + err``.  Any other row is strictly farther
+    than ``k`` rows, so the shortlist holds the exact top ``k``.  ``None``
+    (take the direct path) when the query's cast or the products could
+    leave the dtype's finite range, or a norm is too small for the bound.
+
+    The bound sums, in float64: the product's rounding ``gamma_d * |p| |q|``
+    in the rows' dtype, the query's rounding to that dtype, underflow of
+    each term, the rounding of the cached norms and of the rank itself, the
+    direct formula's own error, and a margin that keeps euclidean ``sqrt``
+    from merging two distances it separates.  It is then taken 1.25 times.
+    """
+    d = rows.shape[1]
+    big, grow, rel, tiny, g64 = _bound_terms(rows.dtype, d)
+    raw_q_norm = math.sqrt(float(q @ q))
+    q_norm = (raw_q_norm + _NORM_FLOOR) * grow
+    top = float(row_data.max())
+    top = ((math.sqrt(top) if kind == _KIND_SQ else top) + _NORM_FLOOR) * grow
+    if not (q_norm < big and top * q_norm < big):
+        return None
+    dots = rows @ q.astype(rows.dtype)
+    root_d = math.sqrt(d)
+    # Underflow: each term's product, and a subnormal row or query
+    # component read as zero.
+    under = tiny * (2 * root_d * (top + q_norm) + d)
+    if kind == _KIND_SQ:
+        rank = row_data - 2.0 * dots
+        scale = (top + q_norm) ** 2
+        err = 2 * (rel * top * q_norm + under) + (2 * g64 + 9 * _U64) * scale
+    elif kind == _KIND_ANGULAR:
+        # rank = -cos * |q|: the cosine scaled by the query norm.
+        least = float(row_data.min()) / grow
+        if raw_q_norm < _NORM_FLOOR or least < _NORM_FLOOR:
+            return None
+        rank = np.divide(dots, row_data)
+        np.negative(rank, out=rank)
+        scale = q_norm
+        err = q_norm * (1.01 * rel + 7 * g64)
+        err += tiny * (root_d * (2 + 2 * q_norm / least) + 2 * d / least)
+    else:
+        rank = np.negative(dots, dtype=np.float64)
+        scale = top * q_norm
+        err = (rel + g64) * scale + under
+    err = 1.25 * (err + 4 * _U64 * scale + d * _TINY64)
+    threshold = float(np.partition(rank, k - 1)[k - 1]) + 2 * err
+    if not math.isfinite(threshold):
+        return None
+    return np.flatnonzero(rank <= threshold)
+
+
+def scan_topk(
+    metric: Metric,
+    query: np.ndarray,
+    k: int,
+    rows: np.ndarray,
+    row_data: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-``k`` of ``rows``: ``(indices, distances)``.
+
+    The result is ``np.argsort(direct, kind="stable")[:k]`` of the direct
+    float64 formula over every row, with those rows' direct distances.
+    Spans above the :data:`DIRECT_SPAN_COST` cutoff are first ranked by one
+    product in the rows' dtype, and only a shortlist that provably holds the
+    top ``k`` is recomputed directly (see :func:`_shortlist`).  A metric with no
+    fused kind ranks with ``metric.batch`` instead.
+
+    ``row_data`` is the rows' cached squared norms (euclidean kinds) or
+    norms (angular, inner product); it is computed when not given.
+    """
+    q = np.asarray(query, dtype=np.float64).ravel()
+    kind = _kind_of(metric)
+    if kind == _KIND_GENERIC:
+        dist = np.asarray(metric.batch(q, rows), dtype=RANK_DTYPE)
+        best = top_k_smallest(dist, k)
+        return best, dist[best]
+    sqrt = metric is EUCLIDEAN
+    n = len(rows)
+    if (
+        k < n
+        and n * (rows.shape[1] + DIRECT_ROW_COST) > DIRECT_SPAN_COST
+        and rows.dtype in (np.float32, np.float64)
+    ):
+        if row_data is None:
+            row_data = _scan_row_data(kind, rows)
+        shortlist = _shortlist(kind, q, k, rows, row_data)
+        if shortlist is not None:
+            dist = _direct(kind, sqrt, q, rows[shortlist])
+            order = np.argsort(dist, kind="stable")[:k]
+            return shortlist[order], dist[order]
+    dist = _direct(kind, sqrt, q, rows)
+    best = np.argsort(dist, kind="stable")[:k]
+    return best, dist[best]
+
+
 class StoreNormCache:
-    """Growable fused-kernel cache over an append-only vector store.
+    """Growable norm cache over an append-only vector store, for its scans.
 
     The brute-force scan path's cache: BSBF, SF's short-window fallback,
-    and MBI's open-leaf/short-window scans each own one.  Per-row data for
-    newly appended vectors is computed incrementally on first use (amortised
+    and MBI's scans each own one.  The norms :func:`scan_topk`'s filter
+    reads are computed for newly appended vectors on first use (amortised
     O(1) per row via buffer doubling); because the store is append-only,
     rows already cached can never change and no other invalidation exists.
 
     Attributes:
         metric: The distance metric the cache serves.
-        evaluations: Running count of rows ranked through this cache.
+        evaluations: Running count of rows scanned through this cache.
     """
 
-    __slots__ = (
-        "metric", "evaluations", "_store", "_kind", "_sqrt", "_row_data",
-        "_n", "_lock",
-    )
+    __slots__ = ("metric", "evaluations", "_store", "_kind", "_row_data", "_n", "_lock")
 
     def __init__(self, store, metric: Metric) -> None:
         self.metric = metric
         self._store = store
         self._kind = _kind_of(metric)
-        self._sqrt = metric is EUCLIDEAN
         self._row_data = np.empty(0, dtype=np.float64)
         self._n = 0
         self._lock = threading.Lock()
@@ -413,11 +518,12 @@ class StoreNormCache:
 
     def _sync(self) -> None:
         # Serialised: queries running on concurrent threads may observe
-        # freshly appended rows at the same time, and the grow-then-fill sequence below is not
-        # atomic.  Uncontended acquisition costs nanoseconds per query.
+        # freshly appended rows at the same time, and the grow-then-fill
+        # sequence below is not atomic.  Uncontended acquisition costs
+        # nanoseconds per query.
         with self._lock:
             n = len(self._store)
-            if n <= self._n or self._kind in (_KIND_IP, _KIND_GENERIC):
+            if n <= self._n or self._kind == _KIND_GENERIC:
                 self._n = n
                 return
             if n > len(self._row_data):
@@ -428,105 +534,35 @@ class StoreNormCache:
                 grown[: self._n] = self._row_data[: self._n]
                 self._row_data = grown
             fresh = self._store.slice(self._n, n)
-            self._row_data[self._n : n] = (
-                row_sq_norms(fresh) if self._kind == _KIND_SQ else row_norms(fresh)
-            )
+            self._row_data[self._n : n] = _scan_row_data(self._kind, fresh)
             self._n = n
-
-    def query(self, query: np.ndarray) -> FusedQuery:
-        """Bind one query over the store's current contents."""
-        self._sync()
-        n = len(self._store)
-        points = self._store.slice(0, n)
-        row_data = (
-            self._row_data[:n]
-            if self._kind in (_KIND_SQ, _KIND_ANGULAR)
-            else None
-        )
-        return FusedQuery(self, self._kind, self._sqrt, points, row_data, query)
 
     def topk(
         self, query: np.ndarray, k: int, positions: range
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact top-``k`` over store positions ``[lo, hi)`` via one fused scan.
+        """Exact top-``k`` over store positions ``[lo, hi)``: :func:`scan_topk`
+        over the span, with this cache's per-row data for its filter.
 
         Returns ``(positions, distances)`` sorted ascending by distance,
-        ties broken by position — the :func:`~repro.distances.top_k_smallest`
-        convention, applied in rank space (valid because the rank transform
-        is strictly monotone).  Only the ``k`` survivors are converted back
-        to true distances.
+        ties broken by position.
         """
         lo, hi = positions.start, positions.stop
         if lo >= hi:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        kind = self._kind
-        if kind == _KIND_GENERIC:
-            fq = self.query(query)
-            rank = fq.range(lo, hi)
-            best = top_k_smallest(rank, k)
-            return (lo + best).astype(np.int64), fq.finalize(rank[best])
-        # The same arithmetic as ``self.query(query).range(lo, hi)`` without
-        # binding a FusedQuery.  The rows are re-read from the store's live
-        # prefix, never its capacity buffer: ``range_dots`` picks its tail
-        # kernel by the length of the array it is given.
         self._sync()
-        q = np.asarray(query, dtype=np.float64).ravel()
-        dots = range_dots(self._store.slice(0, len(self._store)), lo, hi, q)
         self.evaluations += hi - lo
-        q_sq = float(q @ q) if kind == _KIND_SQ else 0.0
-        q_norm = float(np.sqrt(q @ q)) if kind == _KIND_ANGULAR else 0.0
-        rank = _rank_from_dots(kind, dots, self._row_data[lo:hi], q_sq, q_norm)
-        best = top_k_smallest(rank, k)
-        dists = rank[best]
-        if self._sqrt:
-            dists = np.sqrt(dists)  # the squared rank is clamped at 0 already
+        row_data = None if self._kind == _KIND_GENERIC else self._row_data[lo:hi]
+        best, dists = scan_topk(
+            self.metric, query, k, self._store.slice(lo, hi), row_data
+        )
         return (best + lo).astype(np.int64, copy=False), dists
 
     def topk_batch(
         self, queries: np.ndarray, k: int, positions: range
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Exact top-``k`` for many queries over one range, one kernel call.
-
-        The whole batch is answered by a single matrix product (the fused
-        cross kernel); per-query results follow the same ordering
-        convention as :meth:`topk`.
-        """
-        lo, hi = positions.start, positions.stop
-        m = len(queries)
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        if lo >= hi:
-            return [empty] * m
-        self._sync()
-        rows = self._store.slice(lo, hi)
-        self.evaluations += m * (hi - lo)
+        """:meth:`topk` for each of many queries over one range."""
         queries = np.asarray(queries, dtype=np.float64)
-        if self._kind == _KIND_SQ:
-            dots = rows @ queries.T  # (span, m) float64, one dgemm
-            rank = self._row_data[lo:hi, None] - 2.0 * dots
-            rank += np.einsum("ij,ij->i", queries, queries)[None, :]
-            np.maximum(rank, 0.0, out=rank)
-        elif self._kind == _KIND_ANGULAR:
-            q_norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-            q_norms = np.where(q_norms == 0.0, 1.0, q_norms)
-            sims = (rows @ queries.T) / (
-                self._row_data[lo:hi, None] * q_norms[None, :]
-            )
-            rank = 1.0 - sims
-        elif self._kind == _KIND_IP:
-            rank = -(rows @ queries.T)
-        else:
-            rank = np.asarray(
-                self.metric.cross(queries, rows), dtype=RANK_DTYPE
-            ).T
-        out: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in range(m):
-            column = rank[:, i]
-            best = top_k_smallest(column, k)
-            dists = column[best]
-            if self._sqrt:
-                dists = np.sqrt(np.maximum(dists, 0.0))
-            out.append(((lo + best).astype(np.int64), dists))
-        return out
+        return [self.topk(query, k, positions) for query in queries]
 
     def nbytes(self) -> int:
         """Bytes used by the live per-row data (excluding growth slack)."""

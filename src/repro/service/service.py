@@ -875,8 +875,11 @@ class IndexService:
 
         The in-process analogue of ``kill -9``, used by the chaos harness
         (:mod:`repro.chaos`): admitted-but-unanswered queries fail with
-        :class:`~repro.exceptions.ServiceClosedError`, background pools are
-        told to stop without being waited on, and the WAL handle is
+        :class:`~repro.exceptions.ServiceClosedError`, queued background
+        builds are cancelled and a running one is waited for (a dead
+        process writes nothing after it dies, so a build left running
+        must not demote blocks into the directory that recovery then
+        reads), and the WAL handle is
         abandoned without a final fsync (see
         :meth:`~repro.service.wal.WriteAheadLog.abandon`) so torn bytes
         from an injected fault stay on disk exactly as a dead process
@@ -897,7 +900,7 @@ class IndexService:
                     ServiceClosedError("service aborted (simulated crash)")
                 )
         self._worker.join(timeout=10.0)
-        self._build_pool.shutdown(wait=False, cancel_futures=True)
+        self._build_pool.shutdown(wait=True, cancel_futures=True)
         self._wal.abandon()
 
     def __enter__(self) -> "IndexService":

@@ -45,13 +45,13 @@ from ..exceptions import (
     DimensionMismatchError,
     InvalidQueryError,
     ShardUnavailableError,
-    TimestampOrderError,
 )
 from ..faultinject import failpoint
 from ..observability.metrics import aggregate_states, get_registry
 from ..observability.telemetry import get_telemetry
 from ..observability.trace import QueryTrace
 from ..observability.tracing import Span, StitchedTrace, TraceContext
+from ..storage.vector_store import checked_batch
 from .transport import InProcessTransport, ShardReply, ShardTransport
 
 __all__ = ["RouterConfig", "ShardRouter", "ShardedResult"]
@@ -395,23 +395,20 @@ class ShardRouter:
         """Route a batch, splitting it into per-shard contiguous runs.
 
         Returns the global position range assigned to the batch.  The
-        batch is applied shard run by shard run in stream order, so a
-        failure mid-batch leaves a clean prefix (the router's count only
-        advances past records the owning shard acknowledged).
+        whole batch is checked first, by the rules every shard's store
+        applies (:func:`~repro.storage.vector_store.checked_batch`), so a
+        refused batch changes no shard.  It is then applied shard run by
+        shard run in stream order, so a transport failure mid-batch leaves
+        a clean prefix (the router's count only advances past records the
+        owning shard acknowledged).
         """
-        vectors = np.asarray(vectors, dtype=np.float64)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
         if len(vectors) != len(timestamps):
             raise ConfigurationError(
                 f"{len(vectors)} vectors with {len(timestamps)} timestamps"
             )
-        if len(timestamps) and (
-            np.any(np.diff(timestamps) < 0)
-            or timestamps[0] < self._last_timestamp
-        ):
-            raise TimestampOrderError(
-                "timestamps must be globally non-decreasing across shards"
-            )
+        checked_batch(vectors, timestamps, self.dim, latest=self._last_timestamp)
+        vectors = np.asarray(vectors, dtype=np.float64)
+        timestamps = np.asarray(timestamps, dtype=np.float64)
         start = self._total
         offset = 0
         plan = self.plan

@@ -48,7 +48,8 @@ def _as_vector_array(
             raise VectorInputError(
                 f"complex vectors are not supported (dtype {array.dtype})"
             )
-        array = np.ascontiguousarray(array, dtype=dtype)
+        with np.errstate(over="ignore"):  # refused below as non-finite
+            array = np.ascontiguousarray(array, dtype=dtype)
     except VectorInputError:
         raise
     except (TypeError, ValueError) as error:
@@ -65,6 +66,61 @@ def _as_vector_array(
             "a row is NaN or infinite"
         )
     return array
+
+
+def checked_batch(
+    vectors: np.ndarray,
+    timestamps: np.ndarray,
+    dim: int,
+    dtype: np.dtype | type = np.float32,
+    latest: float = float("-inf"),
+) -> tuple[np.ndarray, np.ndarray]:
+    """A batch as a store of ``dim``-dim ``dtype`` rows would hold it, or raise.
+
+    ``latest`` is the newest timestamp already stored: the batch must not
+    start before it.  A router that splits one batch over several stores
+    checks it whole here before the first store sees a row.
+
+    Raises:
+        DimensionMismatchError: If vectors have the wrong dimension.
+        VectorInputError: If the payload is non-numeric, has the wrong
+            rank or a non-finite component, or any timestamp is not
+            finite.
+        TimestampOrderError: If the batch violates time order.
+        ValueError: If the vector and timestamp counts differ.
+    """
+    vectors = _as_vector_array(vectors, np.dtype(dtype), expect_ndim=2)
+    try:
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+    except (TypeError, ValueError) as error:
+        raise VectorInputError(
+            f"could not convert timestamps to float64: {error}"
+        ) from None
+    if timestamps.ndim != 1:
+        raise VectorInputError(
+            f"timestamps must be 1-d, got shape {timestamps.shape}"
+        )
+    if vectors.shape[1] != dim:
+        raise DimensionMismatchError(dim, int(vectors.shape[1]))
+    if len(vectors) != len(timestamps):
+        raise ValueError(
+            f"got {len(vectors)} vectors but {len(timestamps)} timestamps"
+        )
+    if len(vectors) == 0:
+        return vectors, timestamps
+    if not np.isfinite(timestamps).all():
+        raise VectorInputError(
+            "batch contains NaN or infinite timestamps; either would "
+            "break the sorted-by-time invariant"
+        )
+    if np.any(np.diff(timestamps) < 0):
+        raise TimestampOrderError("batch timestamps must be non-decreasing")
+    if float(timestamps[0]) < latest:
+        raise TimestampOrderError(
+            f"batch starts at {float(timestamps[0])}, before latest stored "
+            f"timestamp {latest}"
+        )
+    return vectors, timestamps
 
 
 def _checked_timestamp(timestamp: float) -> float:
@@ -169,47 +225,13 @@ class VectorStore:
         Raises what :meth:`extend` raises and changes nothing, so a caller
         that appends a batch one row at a time (the index's per-row
         inserts, the service's WAL-first ingest) can refuse a bad batch as
-        a whole before its first row goes in.
-
-        Raises:
-            DimensionMismatchError: If vectors have the wrong dimension.
-            VectorInputError: If the payload is non-numeric, has the wrong
-                rank or a non-finite component, or any timestamp is not
-                finite.
-            TimestampOrderError: If the batch violates time order.
+        a whole before its first row goes in.  The rules are
+        :func:`checked_batch`'s, against this store's dimension, dtype and
+        latest timestamp.
         """
-        vectors = _as_vector_array(vectors, self._dtype, expect_ndim=2)
-        try:
-            timestamps = np.asarray(timestamps, dtype=np.float64)
-        except (TypeError, ValueError) as error:
-            raise VectorInputError(
-                f"could not convert timestamps to float64: {error}"
-            ) from None
-        if timestamps.ndim != 1:
-            raise VectorInputError(
-                f"timestamps must be 1-d, got shape {timestamps.shape}"
-            )
-        if vectors.shape[1] != self._dim:
-            raise DimensionMismatchError(self._dim, int(vectors.shape[1]))
-        if len(vectors) != len(timestamps):
-            raise ValueError(
-                f"got {len(vectors)} vectors but {len(timestamps)} timestamps"
-            )
-        if len(vectors) == 0:
-            return vectors, timestamps
-        if not np.isfinite(timestamps).all():
-            raise VectorInputError(
-                "batch contains NaN or infinite timestamps; either would "
-                "break the sorted-by-time invariant"
-            )
-        if np.any(np.diff(timestamps) < 0):
-            raise TimestampOrderError("batch timestamps must be non-decreasing")
-        if float(timestamps[0]) < self.latest_timestamp:
-            raise TimestampOrderError(
-                f"batch starts at {float(timestamps[0])}, before latest stored "
-                f"timestamp {self.latest_timestamp}"
-            )
-        return vectors, timestamps
+        return checked_batch(
+            vectors, timestamps, self._dim, self._dtype, self.latest_timestamp
+        )
 
     def extend(self, vectors: np.ndarray, timestamps: np.ndarray) -> range:
         """Append a batch of timestamped vectors; returns their position range.

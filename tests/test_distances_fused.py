@@ -9,7 +9,8 @@ search path stands on, so this module pins down their numeric contract:
   computed through the plain ``metric.batch`` kernels;
 * ``finalize`` recovers true metric distances from rank space;
 * every ranked row is charged to the owning cache's ``evaluations``
-  counter (the kernel half of the distance-counting convention).
+  counter (the kernel half of the distance-counting convention);
+* a row's scan distance does not depend on the range it is scanned in.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.distances.fused import (
     NormCache,
     StoreNormCache,
     as_fused_points,
-    range_dots,
     row_norms,
     row_sq_norms,
 )
@@ -91,41 +91,63 @@ class TestRowNorms:
 
 
 class TestRangeDots:
-    """``range_dots`` is ``points[lo:hi] @ q``, rounded the same for a row
-    whatever range it is scanned in."""
+    """A row's scan distance is the same whatever range it is scanned in:
+    the direct formula rounds each row on its own."""
+
+    @staticmethod
+    def _distances(store, q, lo, hi):
+        cache = StoreNormCache(store, resolve_metric("euclidean"))
+        positions, dists = cache.topk(q, hi - lo, range(lo, hi))
+        out = np.empty(hi - lo)
+        out[positions - lo] = dists
+        return out
 
     @pytest.mark.parametrize("dim", [3, 8, 24, 64])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_round_alike_in_every_range(self, dim, dtype):
         points = _dataset(n=203, dim=dim).astype(dtype)
+        store = VectorStore(dim, dtype=dtype)
+        store.extend(points, np.arange(len(points), dtype=np.float64))
         q = _dataset(seed=1, n=1, dim=dim)[0]
-        whole = range_dots(points, 0, len(points), q)
-        np.testing.assert_allclose(whole, points @ q, rtol=1e-12, atol=1e-12)
+        whole = self._distances(store, q, 0, len(points))
+        reference = resolve_metric("euclidean").batch(q, points.astype(np.float64))
+        np.testing.assert_allclose(whole, reference, rtol=1e-12, atol=1e-12)
         rng = np.random.default_rng(dim)
         for lo in [0, 1, 2, 3, 199, 200, 201, 202] + rng.integers(0, 202, 30).tolist():
             for hi in (lo + 1, lo + 2, lo + 3, lo + 5, min(len(points), lo + 70)):
                 hi = min(hi, len(points))
-                got = range_dots(points, lo, hi, q)
+                got = self._distances(store, q, lo, hi)
                 assert got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
     def test_ranges_past_the_blas_threading_cutoff(self):
         # 12 000 x 64 is past the size at which a multi-core OpenBLAS runs
-        # one gemv on several threads, each ending its rows with a tail
-        # kernel; a plain ``points[lo:hi] @ q`` then rounds interior rows
-        # differently for different ranges.
+        # one gemv on several threads; the filter's product does, but the
+        # distances come from the direct formula, so ranges still agree.
         points = _dataset(n=12_000, dim=64)
+        store = VectorStore(64, dtype=np.float64)
+        store.extend(points, np.arange(len(points), dtype=np.float64))
         q = _dataset(seed=3, n=1, dim=64)[0]
         n = len(points)
-        whole = range_dots(points, 0, n, q)
+        cache = StoreNormCache(store, resolve_metric("euclidean"))
+        whole_positions, whole_dists = cache.topk(q, 50, range(0, n))
+        whole = dict(zip(whole_positions.tolist(), whole_dists.tolist()))
         for lo, hi in [(3, n - 1), (0, n // 2 + 1), (n // 2 + 1, n), (1, 4_003)]:
-            got = range_dots(points, lo, hi, q)
-            assert got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+            positions, dists = cache.topk(q, 50, range(lo, hi))
+            # The whole answer's rows in the range lead the range's answer,
+            # with the same distances.
+            inside = [p for p in whole_positions.tolist() if lo <= p < hi]
+            assert positions[: len(inside)].tolist() == inside, (lo, hi)
+            for p, d in zip(positions.tolist(), dists.tolist()):
+                assert p not in whole or whole[p] == d, (lo, hi, p)
 
     def test_fewer_than_four_rows_in_total(self):
         points = _dataset(n=3, dim=5)
+        store = VectorStore(5, dtype=np.float64)
+        store.extend(points, np.arange(3, dtype=np.float64))
         q = _dataset(seed=2, n=1, dim=5)[0]
-        np.testing.assert_allclose(range_dots(points, 0, 3, q), points @ q)
-        np.testing.assert_allclose(range_dots(points, 1, 2, q), points[1:2] @ q)
+        reference = resolve_metric("euclidean").batch(q, points)
+        np.testing.assert_allclose(self._distances(store, q, 0, 3), reference)
+        np.testing.assert_allclose(self._distances(store, q, 1, 2), reference[1:2])
 
 
 class TestFusedAgainstReference:
@@ -162,13 +184,18 @@ class TestFusedAgainstReference:
 
     @pytest.mark.parametrize("name", METRICS)
     def test_range_matches_gather(self, name):
+        # The scan of a range and a gather of its rows agree on the
+        # distances, up to the gather's norm-expansion rounding.
         metric = resolve_metric(name)
         points = _dataset(seed=5).astype(np.float32)
-        cache = NormCache(points, metric)
-        fq = cache.query(np.ones(points.shape[1]))
-        np.testing.assert_array_equal(
-            fq.range(10, 30), fq.gather(np.arange(10, 30))
-        )
+        store = VectorStore(points.shape[1])
+        store.extend(points, np.arange(len(points), dtype=np.float64))
+        query = np.ones(points.shape[1])
+        positions, dists = StoreNormCache(store, metric).topk(query, 20, range(10, 30))
+        fq = NormCache(points, metric).query(query)
+        gathered = fq.finalize(fq.gather(positions))
+        np.testing.assert_allclose(dists, gathered, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(np.sort(positions), np.arange(10, 30))
 
     def test_generic_metric_falls_back_to_batch(self):
         metric = _generic_metric()
@@ -236,7 +263,7 @@ class TestNormCacheContract:
         fq = cache.query(points[0])
         assert cache.evaluations == 0
         fq.gather(np.arange(7))
-        fq.range(0, 5)
+        fq.gather(np.arange(5))
         assert cache.evaluations == 12
 
 
@@ -259,7 +286,7 @@ class TestStoreNormCache:
         fresh = StoreNormCache(store, resolve_metric("euclidean"))
         fresh_positions, fresh_dists = fresh.topk(query, 5, range(0, 48))
         np.testing.assert_array_equal(grown_positions, fresh_positions)
-        np.testing.assert_allclose(grown_dists, fresh_dists)
+        np.testing.assert_array_equal(grown_dists, fresh_dists)
         assert len(first[0]) == 5
 
     def test_topk_batch_agrees_with_topk(self):
@@ -271,7 +298,7 @@ class TestStoreNormCache:
         for query, (positions, dists) in zip(queries, batched):
             solo_positions, solo_dists = cache.topk(query, 4, range(5, 35))
             np.testing.assert_array_equal(positions, solo_positions)
-            np.testing.assert_allclose(dists, solo_dists, rtol=1e-9)
+            np.testing.assert_array_equal(dists, solo_dists)
 
     def test_empty_range_returns_empty(self):
         store = self._store(_dataset(n=4).astype(np.float32))

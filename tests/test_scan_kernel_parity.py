@@ -1,13 +1,13 @@
-"""Bit-parity of the exact-scan kernels against their plain forms.
+"""Parity of the exact-scan kernels against their plain forms.
 
 `top_k_smallest` ranks short spans with one stable sort and skips the tie
-repair when no tie group crosses the cut, `range_dots` makes one BLAS call
-when the range fits one serial call, and `StoreNormCache.topk` ranks the
-range without binding a `FusedQuery`.  Each must give exactly what the
-straightforward versions below give — same indices in the same order, same
-distance bytes, same evaluation counts — because a scan that moves by one
-ulp moves answers.  The reference functions are the kernels as they stood
-before that rework, kept here verbatim as oracles.
+repair when no tie group crosses the cut; it must give exactly what the
+straightforward version below gives, the kernel as it stood before that
+rework, kept here verbatim as an oracle.  `StoreNormCache.topk` ranks a span
+in the store's dtype and reranks a shortlist directly; it must give exactly
+the ranking oracle of `tests/test_scan_exactness.py` (the stable argsort of
+the direct float64 formula over the span): same indices in the same order,
+same distance bytes, same evaluation counts.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distances import resolve_metric
-from repro.distances.fused import (
-    GEMV_SERIAL_ELEMENTS,
-    StoreNormCache,
-    range_dots,
-)
+from repro.distances.fused import StoreNormCache
 from repro.distances.kernels import SORT_CUTOFF, top_k_smallest
-from repro.distances.metrics import ANGULAR, EUCLIDEAN, INNER_PRODUCT, SQEUCLIDEAN, Metric
+from repro.distances.metrics import Metric
 from repro.storage import VectorStore
+
+from .test_scan_exactness import reference_topk
 
 METRICS = ("euclidean", "sqeuclidean", "angular", "ip")
 
@@ -55,67 +53,14 @@ def reference_top_k_smallest(values, k):
     return chosen[order]
 
 
-def reference_range_dots(points, lo, hi, q):
-    n = hi - lo
-    dots = np.empty(n, dtype=np.result_type(points.dtype, q.dtype))
-    body = n - n % 4
-    step = max(4, (GEMV_SERIAL_ELEMENTS - 1) // points.shape[1] // 4 * 4)
-    for start in range(0, body, step):
-        stop = min(start + step, body)
-        np.matmul(points[lo + start : lo + stop], q, out=dots[start:stop])
-    if body < n:
-        if len(points) >= 4:
-            start = max(0, hi - 4)
-            dots[body:] = (points[start : start + 4] @ q)[lo + body - start : hi - start]
-        else:
-            dots[body:] = points[lo + body : hi] @ q
-    return dots
-
-
 def reference_store_topk(cache, query, k, positions):
-    """``StoreNormCache.topk`` through ``query``/``FusedQuery`` as it was."""
+    """``StoreNormCache.topk`` by the ranking oracle, charging the cache."""
     lo, hi = positions.start, positions.stop
     if lo >= hi:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    # StoreNormCache.query
-    cache._sync()
-    n = len(cache._store)
-    points = cache._store.slice(0, n)
-    metric = cache.metric
-    sq = metric is EUCLIDEAN or metric is SQEUCLIDEAN
-    angular = metric is ANGULAR
-    generic = not (sq or angular or metric is INNER_PRODUCT)
-    row_data = cache._row_data[:n] if sq or angular else None
-    q = np.asarray(query, dtype=np.float64).ravel()
-    q_sq = float(q @ q) if sq else 0.0
-    q_norm = float(np.sqrt(q @ q)) if angular else 0.0
-    # FusedQuery.range
-    rows = points[lo:hi]
-    row_data = row_data[lo:hi] if row_data is not None else None
-    cache.evaluations += len(rows)
-    dots = None if generic else reference_range_dots(points, lo, hi, q)
-    # FusedQuery._rank_rows
-    if generic:
-        rank = np.asarray(metric.batch(q, rows), dtype=np.float64)
-    elif sq:
-        rank = row_data - 2.0 * dots
-        rank += q_sq
-        np.maximum(rank, 0.0, out=rank)
-    elif angular:
-        if q_norm == 0.0:
-            rank = np.ones(len(rows), dtype=np.float64)
-        else:
-            sims = dots / (row_data * q_norm)
-            rank = 1.0 - sims
-    else:
-        rank = -dots
-    best = reference_top_k_smallest(rank, k)
-    # FusedQuery.finalize
-    survivors = np.asarray(rank[best], dtype=np.float64)
-    if metric is EUCLIDEAN:
-        dists = np.sqrt(np.maximum(survivors, 0.0))
-    else:
-        dists = survivors.copy() if survivors.base is not None else survivors
+    cache.evaluations += hi - lo
+    rows = cache._store.slice(lo, hi)
+    best, dists = reference_topk(cache.metric, query, rows, k)
     return (lo + best).astype(np.int64), dists
 
 
@@ -180,34 +125,6 @@ class TestTopKParity:
             )
 
 
-# ------------------------------------------------------------ range dots
-
-
-@st.composite
-def ranges(draw):
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    # Wide rows make one serial call hold only a few rows, so the
-    # multi-call loop runs; narrow rows take the one-call path.
-    dim = draw(st.sampled_from([1, 3, 8, 64, 700, 2400, 3000]))
-    n = draw(st.integers(1, 40))
-    lo = draw(st.integers(0, n - 1))
-    hi = draw(st.integers(lo, n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    points = rng.standard_normal((n, dim)).astype(dtype)
-    q = rng.standard_normal(dim).astype(
-        draw(st.sampled_from([np.float64, np.float32]))
-    )
-    return points, lo, hi, q
-
-
-class TestRangeDotsParity:
-    @settings(max_examples=300, deadline=None)
-    @given(ranges())
-    def test_matches_the_reference_bytes(self, case):
-        points, lo, hi, q = case
-        _same(range_dots(points, lo, hi, q), reference_range_dots(points, lo, hi, q))
-
-
 # ------------------------------------------------------------ store top-k
 
 
@@ -215,7 +132,7 @@ class TestRangeDotsParity:
 def scans(draw):
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     dim = draw(st.sampled_from([1, 2, 5, 16, 64]))
-    n = draw(st.one_of(st.integers(1, 3), st.integers(4, 70)))
+    n = draw(st.one_of(st.integers(1, 3), st.integers(4, 70), st.integers(150, 400)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vectors = rng.standard_normal((n, dim))
     if draw(st.booleans()):  # repeated rows: ties in every metric
@@ -253,8 +170,9 @@ class TestStoreTopKParity:
     @settings(max_examples=100, deadline=None)
     @given(scans(), st.sampled_from(METRICS))
     def test_rows_appended_between_scans(self, case, name):
-        # The live prefix grows past 4 rows (and past the cache's first
-        # capacity) between calls; the tail kernel follows the store.
+        # The live prefix grows past the cache's first capacity, and the
+        # span past the short-span cutoff, between calls; the cached norms
+        # the filter reads follow the store.
         store, query, k, positions = case
         metric = resolve_metric(name)
         cache = StoreNormCache(store, metric)

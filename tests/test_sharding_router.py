@@ -25,8 +25,10 @@ from repro import (
 )
 from repro.exceptions import (
     ConfigurationError,
+    DimensionMismatchError,
     ShardUnavailableError,
     TimestampOrderError,
+    VectorInputError,
 )
 from repro.faultinject import Action, get_failpoints
 from repro.graph import GraphConfig
@@ -278,6 +280,43 @@ class TestIngestRouting:
             with pytest.raises(TimestampOrderError):
                 router.ingest(vector, 0.5)  # before the last routed ts
             router.ingest(vector, float(N))  # non-decreasing: fine
+
+    @pytest.mark.parametrize(
+        "spoil, error",
+        [
+            (lambda v, t: v.__setitem__((-1, 0), np.nan), VectorInputError),
+            (lambda v, t: v.__setitem__((-1, 0), 1e39), VectorInputError),
+            (lambda v, t: t.__setitem__(-1, np.nan), VectorInputError),
+        ],
+        ids=["nan-vector", "float32-overflow", "nan-timestamp"],
+    )
+    def test_a_refused_batch_changes_no_shard(self, tmp_path, spoil, error):
+        # 14 rows fill most of shard 0's first 16-row stripe; the 4-row
+        # batch's last two rows belong to shard 1, which would refuse them
+        # after shard 0 had durably taken the first two.
+        router = ShardRouter.open(
+            tmp_path / "cluster",
+            n_shards=2,
+            dim=DIM,
+            mbi_config=_config(),
+            service_config=ServiceConfig(fsync="never"),
+            config=RouterConfig(seed=7),
+        )
+        with router:
+            assert router.plan.stripe_size == 16
+            vectors, timestamps = _stream()
+            router.ingest_batch(vectors[:14], timestamps[:14])
+            batch, times = vectors[14:18].copy(), timestamps[14:18].copy()
+            spoil(batch, times)
+            with pytest.raises(error):
+                router.ingest_batch(batch, times)
+            with pytest.raises(DimensionMismatchError):
+                router.ingest_batch(vectors[14:18, :-1], timestamps[14:18])
+            records = [s.transport.info(16)["records"] for s in router._shards]
+            assert (router.total_records, records) == (14, [14, 0])
+            router.ingest_batch(vectors[14:18], timestamps[14:18])  # the retry
+            records = [s.transport.info(16)["records"] for s in router._shards]
+            assert (router.total_records, records) == (18, [16, 2])
 
     def test_ingest_to_draining_shard_raises(self, tmp_path):
         with _open_router(tmp_path, 2) as router:

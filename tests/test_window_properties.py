@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -37,11 +37,7 @@ SETTINGS = settings(
 DIM = 4
 
 
-@st.composite
-def duplicate_heavy_store(draw, max_n=80):
-    """A store whose timestamps are small sorted integers — dense ties."""
-    n = draw(st.integers(2, max_n))
-    seed = draw(st.integers(0, 2**16))
+def _duplicate_heavy(n: int, seed: int) -> VectorStore:
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((n, DIM)).astype(np.float32)
     # Integer timestamps drawn from a range ~n/3 wide: every value repeats.
@@ -51,6 +47,14 @@ def duplicate_heavy_store(draw, max_n=80):
     store = VectorStore(DIM)
     store.extend(vectors, timestamps)
     return store
+
+
+@st.composite
+def duplicate_heavy_store(draw, max_n=80):
+    """A store whose timestamps are small sorted integers — dense ties."""
+    n = draw(st.integers(2, max_n))
+    seed = draw(st.integers(0, 2**16))
+    return _duplicate_heavy(n, seed)
 
 
 @st.composite
@@ -172,18 +176,25 @@ def _exact_mbi(store: VectorStore) -> MultiLevelBlockIndex:
 
 class TestMBISearchWindows:
     @SETTINGS
-    @given(duplicate_heavy_store(max_n=60), window_bounds(), st.data())
-    def test_search_respects_the_window_exactly(self, store, bounds, data):
+    @given(
+        duplicate_heavy_store(max_n=60),
+        window_bounds(),
+        st.integers(0, 2**16),
+        st.integers(1, 8),
+    )
+    # The store's first row is the query rounded to float32: a
+    # near-duplicate whose distance the store-wide scan and the window's
+    # slice scan once computed differently (4.21e-8 against 5.96e-8).
+    @example(_duplicate_heavy(25, 25807), (0.0, 1.0), 25807, 1)
+    def test_search_respects_the_window_exactly(self, store, bounds, query_seed, k):
         """Exact-config MBI.search == exact_tknn on every edge-case window."""
         index = _exact_mbi(store)
         metric = resolve_metric("euclidean")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        query = rng.standard_normal(DIM)
-        k = data.draw(st.integers(1, 8))
+        query = np.random.default_rng(query_seed).standard_normal(DIM)
         got = index.search(query, k, *bounds, rng=np.random.default_rng(1))
         want = exact_tknn(store, metric, query, k, *bounds)
         np.testing.assert_array_equal(got.positions, want.positions)
-        np.testing.assert_allclose(got.distances, want.distances)
+        np.testing.assert_array_equal(got.distances, want.distances)
         in_window = [
             p
             for p in range(len(store))
